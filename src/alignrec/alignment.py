@@ -93,7 +93,10 @@ class MixCoefficients:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(first_order=d["first_order"], second_order=d.get("second_order", []))
+        """Build from a config mapping; a missing second_order means zeros."""
+        n = len(d["first_order"])
+        return cls(first_order=d["first_order"],
+                   second_order=d.get("second_order", np.zeros(n * (n - 1) // 2)))
 
 
 def default_mix(n_attributes):
@@ -157,24 +160,24 @@ def mix_similarities(blocks, mu):
 def fit_mix_coefficients(blocks, X_train, validation, grid, k=10):
     """Pick the grid point whose metadata-only scores rank validation best.
 
-    Scores are X_train @ G_mixed, judged by ndcg@k on the cold validation
-    pool (or the warm pool when the split has no cold items). Ties prefer
-    fewer nonzero coefficients, then earlier grid position.
+    Scores are X_train @ G_mixed, judged by ndcg@k on the pool that
+    evaluation.validation_scenario picks for ``validation`` (a cold or a
+    warm split). Ties prefer fewer nonzero coefficients, then earlier grid
+    position. A one-point grid is returned without scoring.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("empty coefficient grid")
-    pool = validation.cold_val if len(validation.cold_val) else validation.warm_val
-    if len(pool) == 0:
-        raise ValueError("validation split holds no interactions")
-    scenario = "cold" if len(validation.cold_val) else "warm"
+    if len(grid) == 1:
+        return grid[0]
+    scenario, use = evaluation.validation_scenario(validation)
 
     best = None
     for idx, mu in enumerate(grid):
         g = mix_similarities(blocks, mu)
         scores = np.asarray(X_train @ g)
         report = evaluation.evaluate_scenario(
-            scores, validation, scenario, ks=(k,), use="val", with_ci=False
+            scores, validation, scenario, ks=(k,), use=use, with_ci=False
         )
         ndcg = report.metric("ndcg", k).mean
         key = (ndcg, -mu.nnz)
@@ -210,9 +213,8 @@ def popularity_regularizer(X, cfg):
 class AlignmentMatrix:
     """Lazy B = alpha * X @ G @ diag(d).
 
-    Held in factored form; solvers pull X^T B (items x items) or explicit
-    column blocks without ever materializing the users x items product
-    unless asked.
+    Held in factored form; solvers pull X^T B (items x items) without
+    ever materializing the users x items product unless asked.
     """
 
     X: sp.csr_matrix
@@ -230,12 +232,6 @@ class AlignmentMatrix:
         if self.alpha == 0.0:
             return np.zeros(self.shape)
         return self.alpha * np.asarray(self.X @ self.G) * self.d[None, :]
-
-    def columns(self, cols):
-        cols = np.asarray(cols)
-        if self.alpha == 0.0:
-            return np.zeros((self.X.shape[0], len(cols)))
-        return self.alpha * np.asarray(self.X @ self.G[:, cols]) * self.d[cols][None, :]
 
     def xtb(self, memory_budget=None):
         """X^T B as a dense items x items matrix."""

@@ -359,7 +359,8 @@ def _write_pairs_csv(path, dataset, pairs, timestamps=None):
             w.writerow(row)
 
 
-def _write_manifest(path, payload):
+def write_json(path, payload):
+    """Write payload as JSON with sorted keys, so equal payloads give equal bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -379,7 +380,7 @@ def save_cold_split(split, outdir):
     test = np.concatenate([split.warm_test, split.cold_test])
     _write_pairs_csv(os.path.join(outdir, "val.csv"), t, val)
     _write_pairs_csv(os.path.join(outdir, "test.csv"), t, test)
-    _write_manifest(
+    write_json(
         os.path.join(outdir, "manifest.json"),
         {
             "protocol": "cold",
@@ -405,7 +406,7 @@ def save_warm_split(split, outdir):
         for row in range(split.negatives.shape[0]):
             for it in split.negatives[row]:
                 w.writerow([t.user_ids[row], t.item_ids[it]])
-    _write_manifest(
+    write_json(
         os.path.join(outdir, "manifest.json"),
         {
             "protocol": "warm",

@@ -216,6 +216,18 @@ def build_ranked_lists(scores, split, scenario, use="test"):
     return _pairs_to_lists(scores, pairs, candidates, split.train.X)
 
 
+def validation_scenario(split):
+    """The (scenario, use) pair that model selection scores on ``split``.
+
+    A warm split ranks its held-out clicks (leave_one_out, test). A cold
+    split ranks its cold validation pool, or the whole validation pool
+    (all) when no cold validation pairs exist.
+    """
+    if hasattr(split, "heldout"):
+        return "leave_one_out", "test"
+    return ("cold" if len(split.cold_val) else "all"), "val"
+
+
 def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=("hr", "ndcg"),
                       use="test", with_ci=True, resamples=500, fraction=0.20,
                       seed=None):

@@ -232,68 +232,170 @@ def write_trace_csv(trace, path):
             )
 
 
+# verb -> its stages in order; stage "grid-search" runs _Pipeline.grid_search
+_FIT_STAGES = ("load", "split", "persist-split", "featurize", "fit-mix",
+               "grid-search", "persist-trace", "refit", "persist-model")
+VERB_STAGES = {
+    "split": ("load", "split", "persist-split"),
+    "featurize": ("load", "featurize", "persist-features"),
+    "fit": _FIT_STAGES + ("persist-manifest",),
+    "evaluate": ("load-split", "load-model", "evaluate", "persist-reports"),
+    "run": _FIT_STAGES + ("evaluate", "persist-reports", "persist-manifest"),
+}
+_REFIT_VERBS = ("fit", "run")
+
+
 class _Pipeline:
-    """Shared state for one experiment run."""
+    """Shared state for one experiment run; one method per stage."""
 
     def __init__(self, cfg, seed=None, workers=None, output=None):
         self.cfg = cfg
         self.seed = cfg["seed"] if seed is None else int(seed)
-        env = os.environ.get(WORKERS_ENV)
-        if workers is not None:
-            self.workers = int(workers)
-        elif env is not None:
-            self.workers = int(env)
-        else:
-            self.workers = int(cfg.get("workers") or 1)
+        if workers is None:
+            workers = os.environ.get(WORKERS_ENV, cfg.get("workers") or 1)
+        self.workers = int(workers)
         out = output or cfg.get("output")
         if not out:
             raise ConfigError("an output directory is required (--output or config output)")
         self.output = out
+        self.split_dir = os.path.join(out, "splits")
+        self.feature_dir = os.path.join(out, "features")
+        self.model_path = os.path.join(out, "model.bin")
+        self.report_paths = {}
         self.protocol = cfg["split"]["protocol"]
 
-    # stage wrappers -----------------------------------------------------
-    def _stage(self, name, fn, *args, **kwargs):
+    def _stage(self, name):
+        """Run one stage, log its wall time, and tag any failure with it."""
+        t0 = time.perf_counter()
         try:
-            return fn(*args, **kwargs)
-        except StageError:
-            raise
+            getattr(self, name.replace("-", "_"))()
         except Exception as e:
             raise StageError(name, self.cfg["_path"], e) from e
+        log.info("stage %s: %.3f s", name, time.perf_counter() - t0)
 
+    # stages -------------------------------------------------------------
     def load(self):
         dat = self.cfg["data"]
-        self.dataset = self._stage(
-            "load", data.load_interactions, dat["interactions"],
-            format=dat["format"], binarize_threshold=dat["binarize_threshold"],
+        self.dataset = data.load_interactions(
+            dat["interactions"], format=dat["format"],
+            binarize_threshold=dat["binarize_threshold"],
         )
-        return self.dataset
 
     def split(self):
         spl = self.cfg["split"]
         if self.protocol == "cold":
-            self.split_ = self._stage(
-                "split", data.make_cold_split, self.dataset,
-                cold_fraction=spl["cold_fraction"],
+            self.split_ = data.make_cold_split(
+                self.dataset, cold_fraction=spl["cold_fraction"],
                 warm_fractions=tuple(spl["fractions"]), seed=self.seed,
             )
         else:
-            self.split_ = self._stage(
-                "split", data.make_warm_split, self.dataset,
-                min_user_clicks=spl["min_user_clicks"],
+            self.split_ = data.make_warm_split(
+                self.dataset, min_user_clicks=spl["min_user_clicks"],
                 negatives=spl["negatives"], seed=self.seed,
             )
-        return self.split_
+
+    def persist_split(self):
+        save = data.save_cold_split if self.protocol == "cold" else data.save_warm_split
+        save(self.split_, self.split_dir)
 
     def featurize(self):
-        def build():
-            fs = features.build_feature_set(self.cfg["attributes"], self.dataset.item_index)
-            delta = self.cfg["alignment"]["delta"]
-            sims = [alignment.smoothed_cosine(b, delta) for b in fs.blocks]
-            return fs, sims
+        self.features = features.build_feature_set(self.cfg["attributes"],
+                                                   self.dataset.item_index)
+        delta = self.cfg["alignment"]["delta"]
+        self.sims = [alignment.smoothed_cosine(b, delta) for b in self.features.blocks]
 
-        self.features, self.sims = self._stage("featurize", build)
-        return self.features
+    def persist_features(self):
+        os.makedirs(self.feature_dir, exist_ok=True)
+        for block in self.features.blocks:
+            features.save_block(block, os.path.join(self.feature_dir, block.attribute))
 
+    def fit_mix(self):
+        """Fix the validation target, then pick the mix coefficients on it.
+
+        The target is the cold split itself, or under the warm protocol a
+        nested leave-one-out split of the training users (seed + 1). Every
+        grid point shares the decay vectors built here.
+        """
+        spl, train = self.cfg["split"], self.split_.train
+        acfg = self._align_cfg(self.cfg["alignment"]["alpha"])
+        self.d = alignment.popularity_regularizer(train.X, acfg)
+        if self.protocol == "cold":
+            self.val, self.val_d = self.split_, self.d
+        else:
+            self.val = data.make_warm_split(
+                train, min_user_clicks=max(1, spl["min_user_clicks"] - 1),
+                negatives=spl["negatives"], seed=self.seed + 1,
+            )
+            self.val_d = alignment.popularity_regularizer(self.val.train.X, acfg)
+        grid = self.cfg["alignment"]["mu_grid"]
+        self.mu = alignment.fit_mix_coefficients(
+            self.sims, self.val.train.X, self.val, grid, k=_SELECT_K)
+        self.G = alignment.mix_similarities(self.sims, self.mu)
+
+    def grid_search(self):
+        # the module-level grid_search, not this method
+        self.best_point, self.best_index, self.trace = grid_search(
+            build_grid(self.cfg["solver"]), self._validation_metrics,
+            workers=self.workers,
+        )
+
+    def persist_trace(self):
+        write_trace_csv(self.trace, os.path.join(self.output, "grid_trace.csv"))
+
+    def refit(self):
+        self.model = self._fit_point(self.split_.train.X, self.d, self.best_point)
+        self.model.item_ids = self.dataset.item_ids
+
+    def persist_model(self):
+        solvers.save_model(self.model, self.model_path)
+
+    def load_split(self):
+        self.split_ = data.load_split(self.split_dir)
+
+    def load_model(self):
+        self.model = solvers.load_model(self.model_path)
+
+    def evaluate(self):
+        ev = self.cfg["evaluation"]
+        scores = solvers.predict(self.model, self.split_.train.X)
+        self.reports = {
+            scenario: evaluation.evaluate_scenario(
+                scores, self.split_, scenario, ks=tuple(ev["ks"]),
+                metrics=tuple(ev["metrics"]), use="test", with_ci=True,
+                resamples=ev["resamples"], fraction=ev["fraction"], seed=self.seed,
+            )
+            for scenario in ev["scenarios"]
+        }
+
+    def persist_reports(self):
+        for scenario, rep in self.reports.items():
+            stem = os.path.join(self.output, f"report_{scenario}")
+            for ext, text in ((".json", rep.to_json()), (".txt", rep.to_text())):
+                with open(stem + ext, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            self.report_paths[scenario] = stem + ".json"
+
+    def persist_manifest(self):
+        data.write_json(os.path.join(self.output, "manifest.json"), {
+            "config": os.path.abspath(self.cfg["_path"]),
+            "protocol": self.protocol,
+            "seed": self.seed,
+            "solver": self.cfg["solver"]["name"],
+            "mix": self.mu.to_dict(),
+            "alignment": {k: self.cfg["alignment"][k]
+                          for k in ("delta", "alpha", "beta", "percentile", "decay")},
+            "selected": self.best_point,
+            "selected_index": self.best_index,
+            "grid_size": len(self.trace),
+            "files": {
+                "model": "model.bin",
+                "trace": "grid_trace.csv",
+                "splits": "splits",
+                "reports": {s: os.path.basename(p) for s, p in self.report_paths.items()},
+            },
+        })
+
+    # solver fitting -----------------------------------------------------
     def _align_cfg(self, alpha):
         a = self.cfg["alignment"]
         return alignment.AlignmentConfig(
@@ -301,67 +403,17 @@ class _Pipeline:
             percentile=a["percentile"], decay=a["decay"],
         )
 
-    def fit_mix(self):
-        grid = self.cfg["alignment"]["mu_grid"]
-
-        def pick():
-            if len(grid) == 1:
-                return grid[0]
-            if self.protocol == "cold":
-                return alignment.fit_mix_coefficients(
-                    self.sims, self.split_.train.X, self.split_, grid, k=_SELECT_K
-                )
-            return self._fit_mix_warm(grid)
-
-        self.mu = self._stage("fit-mix", pick)
-        self.G = self._stage("fit-mix", alignment.mix_similarities, self.sims, self.mu)
-        return self.mu
-
-    def _fit_mix_warm(self, grid):
-        inner = self._inner_split()
-        best = None
-        for idx, mu in enumerate(grid):
-            g = alignment.mix_similarities(self.sims, mu)
-            scores = np.asarray(inner.train.X @ g)
-            rep = evaluation.evaluate_scenario(
-                scores, inner, "leave_one_out", ks=(_SELECT_K,), with_ci=False
-            )
-            key = (rep.metric("ndcg", _SELECT_K).mean, -mu.nnz)
-            if best is None or key > best[0]:
-                best = (key, idx, mu)
-        return best[2]
-
-    def _inner_split(self):
-        if not hasattr(self, "_inner"):
-            spl = self.cfg["split"]
-            self._inner = data.make_warm_split(
-                self.split_.train,
-                min_user_clicks=max(1, spl["min_user_clicks"] - 1),
-                negatives=spl["negatives"], seed=self.seed + 1,
-            )
-        return self._inner
-
-    # solver fitting -----------------------------------------------------
-    def _decay_for(self, X, acfg):
-        # depends on beta/percentile/decay but not alpha: one vector per X
-        if not hasattr(self, "_decay_cache"):
-            self._decay_cache = {}
-        key = id(X)
-        if key not in self._decay_cache:
-            self._decay_cache[key] = alignment.popularity_regularizer(X, acfg)
-        return self._decay_cache[key]
-
-    def _fit_point(self, X, point):
+    def _fit_point(self, X, d, point):
         name = self.cfg["solver"]["name"]
         alpha = point.get("alpha", self.cfg["alignment"]["alpha"])
         acfg = self._align_cfg(alpha)
-        B = alignment.align(X, self.G, acfg, d=self._decay_for(X, acfg))
         if name == "itemknn":
             return solvers.ItemModel(
                 theta=self.G, solver="itemknn",
                 config={"alpha": alpha, "delta": acfg.delta},
                 diagnostics={"n_items": int(X.shape[1]), "n_users": int(X.shape[0])},
             )
+        B = alignment.align(X, self.G, acfg, d=d)
         if name == "ease":
             cfg = solvers.EaseConfig(
                 lambda0=point.get("lambda0", 0.0),
@@ -376,181 +428,55 @@ class _Pipeline:
         return solvers.fit_mslim(X, cfg, B=B, workers=1)
 
     def _validation_metrics(self, point):
-        if self.protocol == "cold":
-            model = self._fit_point(self.split_.train.X, point)
-            scores = solvers.predict(model, self.split_.train.X)
-            scenario = "cold" if len(self.split_.cold_val) else "all"
-            rep = evaluation.evaluate_scenario(
-                scores, self.split_, scenario, ks=(_SELECT_K,),
-                use="val", with_ci=False,
-            )
-        else:
-            inner = self._inner_split()
-            model = self._fit_point(inner.train.X, point)
-            scores = solvers.predict(model, inner.train.X)
-            rep = evaluation.evaluate_scenario(
-                scores, inner, "leave_one_out", ks=(_SELECT_K,), with_ci=False
-            )
-        return {
-            "ndcg@10": rep.metric("ndcg", _SELECT_K).mean,
-            "hr@10": rep.metric("hr", _SELECT_K).mean,
-        }
-
-    def search(self):
-        points = build_grid(self.cfg["solver"])
-        self.best_point, self.best_index, self.trace = self._stage(
-            "grid-search", grid_search, points, self._validation_metrics,
-            workers=self.workers,
-        )
-        return self.best_point
-
-    def refit(self):
-        def fit():
-            model = self._fit_point(self.split_.train.X, self.best_point)
-            model.item_ids = self.dataset.item_ids
-            return model
-
-        self.model = self._stage("refit", fit)
-        return self.model
-
-    def evaluate(self):
-        ev = self.cfg["evaluation"]
-
-        def run():
-            scores = solvers.predict(self.model, self.split_.train.X)
-            reports = {}
-            for scenario in ev["scenarios"]:
-                reports[scenario] = evaluation.evaluate_scenario(
-                    scores, self.split_, scenario, ks=tuple(ev["ks"]),
-                    metrics=tuple(ev["metrics"]), use="test", with_ci=True,
-                    resamples=ev["resamples"], fraction=ev["fraction"],
-                    seed=self.seed,
-                )
-            return reports
-
-        self.reports = self._stage("evaluate", run)
-        return self.reports
+        X = self.val.train.X
+        scores = solvers.predict(self._fit_point(X, self.val_d, point), X)
+        scenario, use = evaluation.validation_scenario(self.val)
+        rep = evaluation.evaluate_scenario(
+            scores, self.val, scenario, ks=(_SELECT_K,), use=use, with_ci=False)
+        return {f"{m}@{_SELECT_K}": rep.metric(m, _SELECT_K).mean for m in ("ndcg", "hr")}
 
 
-def _write_reports(reports, outdir):
-    paths = {}
-    for scenario, rep in reports.items():
-        j = os.path.join(outdir, f"report_{scenario}.json")
-        t = os.path.join(outdir, f"report_{scenario}.txt")
-        with open(j, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json())
-        with open(t, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_text())
-        paths[scenario] = j
-    return paths
+def _run(verb, config_path, seed=None, workers=None, output=None):
+    """Run the stages of ``verb`` in order; returns the pipeline.
 
-
-def _write_manifest(pipe, outdir, report_paths):
-    manifest = {
-        "config": os.path.abspath(pipe.cfg["_path"]),
-        "protocol": pipe.protocol,
-        "seed": pipe.seed,
-        "solver": pipe.cfg["solver"]["name"],
-        "mix": pipe.mu.to_dict(),
-        "alignment": {k: pipe.cfg["alignment"][k]
-                      for k in ("delta", "alpha", "beta", "percentile", "decay")},
-        "selected": pipe.best_point,
-        "selected_index": pipe.best_index,
-        "grid_size": len(pipe.trace),
-        "files": {
-            "model": "model.bin",
-            "trace": "grid_trace.csv",
-            "splits": "splits",
-            "reports": {s: os.path.basename(p) for s, p in report_paths.items()},
-        },
-    }
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _mark_incomplete(outdir):
-    os.makedirs(outdir, exist_ok=True)
-    marker = os.path.join(outdir, "INCOMPLETE")
-    with open(marker, "w", encoding="utf-8") as fh:
-        fh.write("run in progress or failed; outputs may be partial\n")
-    return marker
-
-
-def _save_split(pipe, outdir):
-    save = data.save_cold_split if pipe.protocol == "cold" else data.save_warm_split
-    pipe._stage("persist-split", save, pipe.split_, os.path.join(outdir, "splits"))
+    The verbs that refit hold an INCOMPLETE marker in the output directory
+    from before their first stage until after their last, so a failed run
+    leaves it behind.
+    """
+    pipe = _Pipeline(load_config(config_path), seed=seed, workers=workers, output=output)
+    marker = os.path.join(pipe.output, "INCOMPLETE")
+    if verb in _REFIT_VERBS:
+        os.makedirs(pipe.output, exist_ok=True)
+        with open(marker, "w", encoding="utf-8") as fh:
+            fh.write("run in progress or failed; outputs may be partial\n")
+    for name in VERB_STAGES[verb]:
+        pipe._stage(name)
+    if verb in _REFIT_VERBS:
+        os.remove(marker)
+    return pipe
 
 
 def run_split(config_path, seed=None, output=None):
-    """`split` verb: build and persist the split only."""
-    cfg = load_config(config_path)
-    pipe = _Pipeline(cfg, seed=seed, output=output)
-    os.makedirs(pipe.output, exist_ok=True)
-    pipe.load()
-    pipe.split()
-    _save_split(pipe, pipe.output)
-    return os.path.join(pipe.output, "splits")
+    """`split` verb: build and persist the split only; returns its directory."""
+    return _run("split", config_path, seed=seed, output=output).split_dir
 
 
 def run_featurize(config_path, output=None):
     """`featurize` verb: encode every attribute and persist the blocks."""
-    cfg = load_config(config_path)
-    pipe = _Pipeline(cfg, output=output)
-    pipe.load()
-    pipe.featurize()
-    outdir = os.path.join(pipe.output, "features")
-    os.makedirs(outdir, exist_ok=True)
-    for block in pipe.features.blocks:
-        pipe._stage("persist-features", features.save_block, block,
-                    os.path.join(outdir, block.attribute))
-    return outdir
+    return _run("featurize", config_path, output=output).feature_dir
 
 
 def run_fit(config_path, seed=None, workers=None, output=None):
     """`fit` verb: split, featurize, tune, refit; no test evaluation."""
-    cfg = load_config(config_path)
-    pipe = _Pipeline(cfg, seed=seed, workers=workers, output=output)
-    marker = _mark_incomplete(pipe.output)
-    pipe.load()
-    pipe.split()
-    _save_split(pipe, pipe.output)
-    pipe.featurize()
-    pipe.fit_mix()
-    pipe.search()
-    write_trace_csv(pipe.trace, os.path.join(pipe.output, "grid_trace.csv"))
-    pipe.refit()
-    pipe._stage("persist-model", solvers.save_model, pipe.model,
-                os.path.join(pipe.output, "model.bin"))
-    _write_manifest(pipe, pipe.output, {})
-    os.remove(marker)
-    return pipe.output
+    return _run("fit", config_path, seed=seed, workers=workers, output=output).output
 
 
 def run_evaluate(config_path, output=None):
-    """`evaluate` verb: score a persisted model on the persisted split."""
-    cfg = load_config(config_path)
-    pipe = _Pipeline(cfg, output=output)
-    split_dir = os.path.join(pipe.output, "splits")
-    model_path = os.path.join(pipe.output, "model.bin")
-    pipe.split_ = pipe._stage("load-split", data.load_split, split_dir)
-    pipe.model = pipe._stage("load-model", solvers.load_model, model_path)
-    pipe.reports = None
-    reports = pipe._stage("evaluate", _evaluate_loaded, pipe)
-    return _write_reports(reports, pipe.output)
+    """`evaluate` verb: score a persisted model on the persisted split.
 
-
-def _evaluate_loaded(pipe):
-    ev = pipe.cfg["evaluation"]
-    scores = solvers.predict(pipe.model, pipe.split_.train.X)
-    reports = {}
-    for scenario in ev["scenarios"]:
-        reports[scenario] = evaluation.evaluate_scenario(
-            scores, pipe.split_, scenario, ks=tuple(ev["ks"]),
-            metrics=tuple(ev["metrics"]), use="test", with_ci=True,
-            resamples=ev["resamples"], fraction=ev["fraction"], seed=pipe.seed,
-        )
-    return reports
+    Returns the report JSON path of each scenario.
+    """
+    return _run("evaluate", config_path, output=output).report_paths
 
 
 def run_experiment(config_path, seed=None, workers=None, output=None):
@@ -560,26 +486,7 @@ def run_experiment(config_path, seed=None, workers=None, output=None):
     and manifest.json. An INCOMPLETE marker exists while the run is in
     flight or after a failure.
     """
-    cfg = load_config(config_path)
-    pipe = _Pipeline(cfg, seed=seed, workers=workers, output=output)
-    outdir = pipe.output
-    marker = _mark_incomplete(outdir)
-
-    pipe.load()
-    pipe.split()
-    _save_split(pipe, outdir)
-    pipe.featurize()
-    pipe.fit_mix()
-    pipe.search()
-    write_trace_csv(pipe.trace, os.path.join(outdir, "grid_trace.csv"))
-    pipe.refit()
-    pipe._stage("persist-model", solvers.save_model, pipe.model,
-                os.path.join(outdir, "model.bin"))
-    reports = pipe.evaluate()
-    report_paths = _write_reports(reports, outdir)
-    _write_manifest(pipe, outdir, report_paths)
-    os.remove(marker)
-    return outdir
+    return _run("run", config_path, seed=seed, workers=workers, output=output).output
 
 
 def compare_reports(paths):

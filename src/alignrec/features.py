@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .data import write_json
 from .errors import FormatError
 
 log = logging.getLogger(__name__)
@@ -280,9 +281,7 @@ def save_block(block, prefix):
         np.save(prefix + ".indptr.npy", m.indptr)
     else:
         np.save(prefix + ".values.npy", np.asarray(m, dtype=np.float64))
-    with open(prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(prefix + ".json", meta)
 
 
 def load_block(prefix):

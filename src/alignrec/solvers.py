@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SingularMatrixError, SolverError
+from .data import write_json
+from .errors import FormatError, SingularMatrixError, SolverError
 from .linalg import gram, solve_general, invert, check_dense_budget
 
 log = logging.getLogger(__name__)
@@ -36,7 +37,6 @@ MODEL_MAGIC = b"AITM0001"
 class EaseConfig:
     lambda0: float = 0.0
     lambda1: float = 1.0
-    use_alignment: bool = True
 
     def __post_init__(self):
         if self.lambda0 < 0:
@@ -87,7 +87,7 @@ def _feature_item_gram(F):
     return m @ m.T
 
 
-def fit_ease(X, cfg, F=None, B=None, memory_budget=None, gradient_check=False):
+def fit_ease(X, cfg, F=None, B=None, memory_budget=None):
     """Closed-form aligned EASE fit.
 
     Inverts M = X^T X + lambda0 FF^T + lambda1 I + X^T B once, forms the
@@ -99,14 +99,11 @@ def fit_ease(X, cfg, F=None, B=None, memory_budget=None, gradient_check=False):
     t0 = time.perf_counter()
     X = sp.csr_matrix(X)
     n = X.shape[1]
-    g = gram(X, memory_budget=memory_budget)
-    m = g + cfg.lambda1 * np.eye(n)
+    m = gram(X, memory_budget=memory_budget) + cfg.lambda1 * np.eye(n)
     if cfg.lambda0 > 0 and F is not None:
         m += cfg.lambda0 * _feature_item_gram(F)
-    xtb = None
-    if B is not None and cfg.use_alignment:
-        xtb = B.xtb(memory_budget=memory_budget)
-        m += xtb
+    if B is not None:
+        m += B.xtb(memory_budget=memory_budget)
     try:
         p = invert(m)
     except SingularMatrixError as e:
@@ -131,37 +128,13 @@ def fit_ease(X, cfg, F=None, B=None, memory_budget=None, gradient_check=False):
         "n_users": int(X.shape[0]),
         "wall_time_s": time.perf_counter() - t0,
     }
-    if gradient_check:
-        diagnostics["objective_grad_offdiag_max"] = _ease_objective_gradient(
-            X, g, theta, cfg, F=F, B=B
-        )
     return ItemModel(
         theta=theta,
         solver="ease",
         config={"lambda0": cfg.lambda0, "lambda1": cfg.lambda1,
-                "use_alignment": bool(cfg.use_alignment and B is not None)},
+                "use_alignment": B is not None},
         diagnostics=diagnostics,
     )
-
-
-def _ease_objective_gradient(X, g, theta, cfg, F=None, B=None):
-    """Max |off-diagonal| of the click+feature+alignment objective gradient.
-
-    The closed form above is not the stationary point of the objective
-    whose alignment residual carries the popularity weights; this reports
-    how far off the returned theta sits (0 when B is absent).
-    """
-    grad = g @ theta - g + cfg.lambda1 * theta
-    if cfg.lambda0 > 0 and F is not None:
-        ff = _feature_item_gram(F)
-        grad += cfg.lambda0 * (ff @ theta - ff)
-    if B is not None and cfg.use_alignment:
-        d = B.d
-        bd = B.materialize()
-        resid = (X @ theta) * d[None, :] - bd
-        grad += (X.T @ resid) * d[None, :]
-    off = grad - np.diag(np.diag(grad))
-    return float(np.abs(off).max())
 
 
 def _mslim_columns(cols, base, Xcsr, Xcsc, Bd, cfg, theta, failures):
@@ -326,37 +299,49 @@ def save_model(model, path, top_k=None):
         "top_k": top_k,
         "n_items": n,
     }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path + ".json", sidecar)
 
 
 def load_model(path, memory_budget=None):
+    """Read a model written by save_model.
+
+    A bad magic, a file that ends early, or bytes past the last column
+    raise FormatError.
+    """
     with open(path + ".json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     with open(path, "rb") as fh:
+
+        def read(size):
+            raw = fh.read(size)
+            if len(raw) != size:
+                raise FormatError(f"{path}: model file ends early")
+            return raw
+
         magic = fh.read(len(MODEL_MAGIC))
         if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, not a model file")
-        mode, n = struct.unpack("<IQ", fh.read(12))
+            raise FormatError(f"{path}: bad magic {magic!r}, not a model file")
+        mode, n = struct.unpack("<IQ", read(12))
         check_dense_budget(n, n, memory_budget, what="model matrix")
-        (has_ids,) = struct.unpack("<B", fh.read(1))
+        (has_ids,) = struct.unpack("<B", read(1))
         item_ids = None
         if has_ids:
             ids = []
             for _ in range(n):
-                (ln,) = struct.unpack("<H", fh.read(2))
-                ids.append(fh.read(ln).decode("utf-8"))
+                (ln,) = struct.unpack("<H", read(2))
+                ids.append(read(ln).decode("utf-8"))
             item_ids = tuple(ids)
         if mode == 0:
-            theta = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).copy()
+            theta = np.frombuffer(read(8 * n * n), dtype="<f8").reshape(n, n).copy()
         else:
-            (k,) = struct.unpack("<I", fh.read(4))
+            (k,) = struct.unpack("<I", read(4))
             theta = np.zeros((n, n))
             for j in range(n):
-                idx = np.frombuffer(fh.read(4 * k), dtype="<u4")
-                vals = np.frombuffer(fh.read(8 * k), dtype="<f8")
+                idx = np.frombuffer(read(4 * k), dtype="<u4")
+                vals = np.frombuffer(read(8 * k), dtype="<f8")
                 theta[idx, j] = vals
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after the last model column")
     return ItemModel(
         theta=theta,
         solver=sidecar["solver"],

@@ -155,3 +155,19 @@ def test_main_workers_flag_beats_env(planted_config, monkeypatch, capsys):
     monkeypatch.setenv("ALIGNREC_WORKERS", "2")
     assert main(["fit", "--config", path, "--workers", "1"]) == EXIT_OK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda raw: raw[:10], id="truncated-header"),
+    pytest.param(lambda raw: raw[:-8], id="truncated-theta"),
+    pytest.param(lambda raw: raw + b"\0", id="trailing-bytes"),
+])
+def test_main_evaluate_corrupt_model_is_a_data_error(planted_config, capsys, corrupt):
+    path = planted_config()
+    assert main(["fit", "--config", path]) == EXIT_OK
+    model = os.path.join(capsys.readouterr().out.strip(), "model.bin")
+    with open(model, "rb") as fh:
+        raw = fh.read()
+    with open(model, "wb") as fh:
+        fh.write(corrupt(raw))
+    assert main(["evaluate", "--config", path]) == EXIT_DATA

@@ -1,15 +1,21 @@
 """Config validation, grid search mechanics, and the pipeline verbs."""
 
+import csv
+import dataclasses
 import json
+import logging
 import os
+import re
 
 import numpy as np
 import pytest
 import yaml
 
 from alignrec import ConfigError, SolverError, grid_search, load_config, run_experiment
+from alignrec import data, evaluation
 from alignrec.errors import StageError
 from alignrec.experiment import (
+    VERB_STAGES,
     _Pipeline,
     build_grid,
     compare_reports,
@@ -124,6 +130,21 @@ def test_load_config_validates_mu_grid(planted_config):
     )
     with pytest.raises(ConfigError, match="for 1 attributes"):
         load_config(path)
+
+
+def test_load_config_accepts_readme_mu_grid(planted_config):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"```yaml\n(.*?)```", fh.read(), re.S).group(1)
+    points = yaml.safe_load(block)["alignment"]["mu_grid"]
+    assert len(points) == 2 and "second_order" not in points[0]
+    path = planted_config(attributes=("topic", "noise", "text"),
+                          alignment={"mu_grid": points})
+    mu = load_config(path)["alignment"]["mu_grid"]
+    assert [m.to_dict() for m in mu] == [
+        {"first_order": [1.0, 0.0, 0.0], "second_order": [0.0, 0.0, 0.0]},
+        {"first_order": [1.0, 1.0, 0.0], "second_order": [0.5, 0.0, 0.0]},
+    ]
 
 
 def test_load_config_rejects_scenario_protocol_mismatch(planted_config):
@@ -302,6 +323,75 @@ def test_run_experiment_selects_nonzero_ridge_over_overfit(tmp_path):
     assert manifest["selected"]["lambda1"] == 8.0
     trace = open(os.path.join(outdir, "grid_trace.csv"), encoding="utf-8").read()
     assert trace.count(",ok,") == 2  # the unregularized point fits but ranks worse
+
+
+def _comparable(path):
+    """File content with the wall-time fields stripped."""
+    name = os.path.basename(path)
+    if name == "grid_trace.csv":
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        drop = rows[0].index("wall_time_s")
+        return [[c for i, c in enumerate(row) if i != drop] for row in rows]
+    if name == "model.bin.json":
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["diagnostics"].pop("wall_time_s")
+        return payload
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _artifacts(outdir):
+    return {os.path.relpath(os.path.join(root, f), outdir):
+            _comparable(os.path.join(root, f))
+            for root, _, files in os.walk(outdir) for f in files}
+
+
+_TWO_MIXES = {"mu_grid": [{"first_order": [1.0, 0.0], "second_order": [0.0]},
+                          {"first_order": [1.0, 1.0], "second_order": [0.0]}]}
+
+
+def test_warm_run_is_byte_identical_across_worker_counts(planted_config, tmp_path):
+    config = planted_config(protocol="warm", negatives=20,
+                            attributes=("topic", "noise"), alignment=_TWO_MIXES,
+                            grid={"lambda1": [0.5, 2.0, 8.0]})
+    one = _artifacts(run_experiment(config, output=str(tmp_path / "one"), workers=1))
+    four = _artifacts(run_experiment(config, output=str(tmp_path / "four"), workers=4))
+    assert "report_leave_one_out.json" in one and "INCOMPLETE" not in one
+    assert one == four
+
+
+def test_selection_scores_all_pool_without_cold_validation_pairs(planted_config,
+                                                                  monkeypatch):
+    make = data.make_cold_split
+    monkeypatch.setattr(data, "make_cold_split", lambda *a, **k: dataclasses.replace(
+        make(*a, **k), cold_val=np.empty((0, 2), dtype=np.int64)))
+    score = evaluation.evaluate_scenario
+    scored = []
+
+    def spy(scores, split, scenario, **kwargs):
+        if not kwargs.get("with_ci", True):
+            scored.append((scenario, kwargs["use"]))
+        return score(scores, split, scenario, **kwargs)
+
+    monkeypatch.setattr(evaluation, "evaluate_scenario", spy)
+    run_experiment(planted_config(attributes=("topic", "noise"), alignment=_TWO_MIXES,
+                                  grid={"lambda1": [0.5, 2.0]}))
+    # two mix points, then two solver grid points
+    assert scored == [("all", "val")] * 4
+
+
+def test_run_logs_one_timing_line_per_stage(planted_config, caplog):
+    caplog.set_level(logging.INFO, logger="alignrec.experiment")
+    run_experiment(planted_config())
+    stages = [m.group(1) for r in caplog.records
+              if (m := re.fullmatch(r"stage (\S+): \d+\.\d{3} s", r.getMessage()))]
+    assert stages == list(VERB_STAGES["run"]) == [
+        "load", "split", "persist-split", "featurize", "fit-mix", "grid-search",
+        "persist-trace", "refit", "persist-model", "evaluate", "persist-reports",
+        "persist-manifest",
+    ]
 
 
 def test_run_split_writes_only_the_split(planted_config):

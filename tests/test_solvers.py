@@ -110,8 +110,11 @@ def test_ease_alignment_term_changes_solution():
     plain = fit_ease(X, EaseConfig(lambda1=1.0))
     aligned = fit_ease(X, EaseConfig(lambda1=1.0), B=B)
     assert np.abs(plain.theta - aligned.theta).max() > 1e-6
-    off = fit_ease(X, EaseConfig(lambda1=1.0, use_alignment=False), B=B)
+    # alpha = 0 switches the alignment term off
+    off = fit_ease(X, EaseConfig(lambda1=1.0),
+                   B=align(X, G, AlignmentConfig(alpha=0.0), d=np.ones(8)))
     np.testing.assert_allclose(off.theta, plain.theta, atol=0)
+    assert aligned.config["use_alignment"] and not plain.config["use_alignment"]
 
 
 def test_ease_feature_term_matches_manual_assembly():
