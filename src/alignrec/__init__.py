@@ -58,7 +58,7 @@ from .features import (
     multihot_encode,
     tfidf_encode,
 )
-from .linalg import gram, masked_gram, solve_general
+from .linalg import gram, solve_general
 from .solvers import (
     EaseConfig,
     ItemModel,
@@ -86,7 +86,7 @@ __all__ = [
     "grid_search", "load_config", "run_experiment",
     "AttributeSpec", "FeatureBlock", "FeatureSet", "build_feature_set",
     "load_embedding_block", "multihot_encode", "tfidf_encode",
-    "gram", "masked_gram", "solve_general",
+    "gram", "solve_general",
     "EaseConfig", "ItemModel", "MslimConfig", "fit_ease", "fit_mslim",
     "itemknn_scores", "load_model", "predict", "save_model",
     "__version__",

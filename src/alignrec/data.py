@@ -13,6 +13,7 @@ Both are pure functions of (dataset, seed) and reproduce byte-identically.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -42,6 +43,17 @@ class Dataset:
     item_ids: tuple
     interactions: np.ndarray
     timestamps: np.ndarray | None = None
+
+    @classmethod
+    def from_pairs(cls, pairs, user_ids, item_ids, timestamps=None):
+        """Wrap distinct (user_row, item_col) ``pairs`` with X holding a 1 at each."""
+        X = sp.csr_matrix(
+            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+            shape=(len(user_ids), len(item_ids)),
+            dtype=np.float64,
+        )
+        return cls(X=X, user_ids=tuple(user_ids), item_ids=tuple(item_ids),
+                   interactions=pairs, timestamps=timestamps)
 
     @property
     def n_users(self):
@@ -143,7 +155,7 @@ def load_interactions(path, format="csv", binarize_threshold=0.5):
             ts = 0
             if has_ts:
                 try:
-                    ts = int(row[3])
+                    ts = _timestamp(row[3])
                 except ValueError:
                     raise ParseError(
                         f"bad timestamp {row[3]!r}", line_number=lineno
@@ -155,56 +167,40 @@ def load_interactions(path, format="csv", binarize_threshold=0.5):
     if not users:
         raise EmptyDatasetError(f"{path}: no interactions at threshold {binarize_threshold}")
 
-    user_ids, item_ids = [], []
-    umap, imap = {}, {}
-    for u, it in zip(users, items):
-        if u not in umap:
-            umap[u] = len(user_ids)
-            user_ids.append(u)
-        if it not in imap:
-            imap[it] = len(item_ids)
-            item_ids.append(it)
-
-    # dedup: keep the occurrence with the largest (timestamp, position) key
-    best = {}
-    for pos, (u, it, ts) in enumerate(zip(users, items, stamps)):
-        key = (umap[u], imap[it])
-        if key not in best or (ts, pos) >= best[key]:
-            best[key] = (ts, pos)
-    order = sorted(best, key=lambda k: best[k][1])
-    pairs = np.array(order, dtype=np.int64).reshape(len(order), 2)
-    timestamps = np.array([best[k][0] for k in order], dtype=np.int64) if has_ts else None
-
-    X = sp.csr_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-        shape=(len(user_ids), len(item_ids)),
-        dtype=np.float64,
-    )
-    return Dataset(
-        X=X,
-        user_ids=tuple(user_ids),
-        item_ids=tuple(item_ids),
-        interactions=pairs,
-        timestamps=timestamps,
-    )
+    user_rows, user_ids = _index_ids(users)
+    item_cols, item_ids = _index_ids(items)
+    stamps = np.array(stamps, dtype=np.int64)
+    # dedup: a stable sort on (pair, timestamp) puts each pair's occurrence
+    # with the largest (timestamp, position) last; keep it, in input order
+    key = user_rows * len(item_ids) + item_cols
+    order = np.lexsort((stamps, key))
+    last = np.append(key[order][1:] != key[order][:-1], True)
+    keep = np.sort(order[last])
+    pairs = np.column_stack([user_rows[keep], item_cols[keep]])
+    return Dataset.from_pairs(pairs, user_ids, item_ids, stamps[keep] if has_ts else None)
 
 
-def _dataset_from_rows(base, keep_positions):
-    keep_positions = np.sort(keep_positions)
-    pairs = base.interactions[keep_positions]
-    ts = base.timestamps[keep_positions] if base.timestamps is not None else None
-    X = sp.csr_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-        shape=(base.n_users, base.n_items),
-        dtype=np.float64,
-    )
-    return Dataset(
-        X=X,
-        user_ids=base.user_ids,
-        item_ids=base.item_ids,
-        interactions=pairs,
-        timestamps=ts,
-    )
+def _timestamp(text):
+    """Parse a timestamp; ValueError unless it is an integer that fits int64."""
+    ts = int(text)
+    if not -(2**63) <= ts < 2**63:
+        raise ValueError(f"timestamp {text!r} is out of the int64 range")
+    return ts
+
+
+def _index_ids(ids):
+    """Number ``ids`` densely in first-appearance order.
+
+    Returns the code of each entry and the distinct ids in code order. The
+    array is of dtype object because numpy's fixed-width strings drop
+    trailing NULs, which would merge distinct ids.
+    """
+    distinct, first, inverse = np.unique(
+        np.array(ids, dtype=object), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    code = np.empty_like(order)
+    code[order] = np.arange(len(order))
+    return code[inverse], tuple(distinct[order].tolist())
 
 
 def make_cold_split(d, cold_fraction=0.20, warm_fractions=(0.80, 0.10, 0.10), seed=0):
@@ -228,12 +224,8 @@ def make_cold_split(d, cold_fraction=0.20, warm_fractions=(0.80, 0.10, 0.10), se
 
     rng = np.random.default_rng(seed)
     cold_cols = np.sort(rng.choice(d.n_items, size=n_cold, replace=False))
-    is_cold = np.zeros(d.n_items, dtype=bool)
-    is_cold[cold_cols] = True
-
-    pos = np.arange(len(d.interactions))
-    cold_mask = is_cold[d.interactions[:, 1]]
-    cold_pos, warm_pos = pos[cold_mask], pos[~cold_mask]
+    cold_mask = np.isin(d.interactions[:, 1], cold_cols)
+    cold_pos, warm_pos = np.flatnonzero(cold_mask), np.flatnonzero(~cold_mask)
 
     cv_parts, ct_parts = [], []
     items_of = d.interactions[cold_pos, 1]
@@ -252,20 +244,17 @@ def make_cold_split(d, cold_fraction=0.20, warm_fractions=(0.80, 0.10, 0.10), se
     n = len(warm_pos)
     n_train = int(round(warm_fractions[0] * n))
     n_val = int(round((warm_fractions[0] + warm_fractions[1]) * n)) - n_train
-    train_pos = warm_pos[perm[:n_train]]
+    train_pos = np.sort(warm_pos[perm[:n_train]])
     wv_pos = warm_pos[perm[n_train : n_train + n_val]]
     wt_pos = warm_pos[perm[n_train + n_val :]]
 
-    def held(positions):
-        positions = np.sort(positions)
-        return d.interactions[positions].copy()
-
+    train_ts = d.timestamps[train_pos] if d.timestamps is not None else None
     return ColdSplit(
-        train=_dataset_from_rows(d, train_pos),
-        warm_val=held(wv_pos),
-        warm_test=held(wt_pos),
-        cold_val=held(cold_val_pos),
-        cold_test=held(cold_test_pos),
+        train=Dataset.from_pairs(d.interactions[train_pos], d.user_ids, d.item_ids, train_ts),
+        warm_val=d.interactions[np.sort(wv_pos)],
+        warm_test=d.interactions[np.sort(wt_pos)],
+        cold_val=d.interactions[np.sort(cold_val_pos)],
+        cold_test=d.interactions[np.sort(cold_test_pos)],
         cold_item_ids=tuple(sorted(d.item_ids[c] for c in cold_cols)),
         seed=seed,
     )
@@ -292,7 +281,6 @@ def make_warm_split(d, min_user_clicks=20, negatives=100, seed=0):
     bounds = np.searchsorted(d.interactions[order, 0], [keep_users, keep_users + 1])
     rng = np.random.default_rng(seed)
 
-    heldout = np.empty(len(keep_users), dtype=np.int64)
     negs = np.empty((len(keep_users), negatives), dtype=np.int64)
     drop_positions = np.empty(len(keep_users), dtype=np.int64)
     all_items = np.arange(d.n_items)
@@ -304,7 +292,6 @@ def make_warm_split(d, min_user_clicks=20, negatives=100, seed=0):
         else:
             last = mine[-1]
         drop_positions[row] = last
-        heldout[row] = d.interactions[last, 1]
         history = d.interactions[mine, 1]
         candidates = np.setdiff1d(all_items, history, assume_unique=False)
         if len(candidates) < negatives:
@@ -314,49 +301,42 @@ def make_warm_split(d, min_user_clicks=20, negatives=100, seed=0):
             )
         negs[row] = rng.choice(candidates, size=negatives, replace=False)
 
-    keep_mask = np.zeros(len(d.interactions), dtype=bool)
-    user_kept = np.zeros(d.n_users, dtype=bool)
-    user_kept[keep_users] = True
-    keep_mask[user_kept[d.interactions[:, 0]]] = True
-    keep_mask[drop_positions] = False
-    train_positions = np.flatnonzero(keep_mask)
-
     remap = np.full(d.n_users, -1, dtype=np.int64)
     remap[keep_users] = np.arange(len(keep_users))
-    pairs = d.interactions[train_positions].copy()
+    keep_mask = remap[d.interactions[:, 0]] >= 0
+    keep_mask[drop_positions] = False
+    train_positions = np.flatnonzero(keep_mask)
+    pairs = d.interactions[train_positions]
     pairs[:, 0] = remap[pairs[:, 0]]
     ts = d.timestamps[train_positions] if d.timestamps is not None else None
-    X = sp.csr_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-        shape=(len(keep_users), d.n_items),
-        dtype=np.float64,
-    )
-    train = Dataset(
-        X=X,
-        user_ids=tuple(d.user_ids[u] for u in keep_users),
-        item_ids=d.item_ids,
-        interactions=pairs,
-        timestamps=ts,
-    )
     return WarmSplit(
-        train=train,
-        heldout=heldout,
+        train=Dataset.from_pairs(pairs, [d.user_ids[u] for u in keep_users], d.item_ids, ts),
+        heldout=d.interactions[drop_positions, 1],
         negatives=negs,
         seed=seed,
         min_user_clicks=min_user_clicks,
     )
 
 
-def _write_pairs_csv(path, dataset, pairs, timestamps=None):
+def _write_pairs_csv(path, dataset, pairs, timestamps=None, values=True):
+    """Write (user_row, item_col) ``pairs`` as rows of ``dataset``'s ids.
+
+    The header is user,item[,value][,timestamp]; every value is 1. One
+    csv.writer call writes all rows, quoting ids that hold a comma or quote.
+    """
+    header = ["user", "item"]
+    columns = [np.array(dataset.user_ids, dtype=object)[pairs[:, 0]],
+               np.array(dataset.item_ids, dtype=object)[pairs[:, 1]]]
+    if values:
+        header.append("value")
+        columns.append(itertools.repeat("1"))
+    if timestamps is not None:
+        header.append("timestamp")
+        columns.append(np.asarray(timestamps).tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        cols = ["user", "item", "value"] + (["timestamp"] if timestamps is not None else [])
-        w.writerow(cols)
-        for k, (u, it) in enumerate(pairs):
-            row = [dataset.user_ids[u], dataset.item_ids[it], "1"]
-            if timestamps is not None:
-                row.append(str(int(timestamps[k])))
-            w.writerow(row)
+        w.writerow(header)
+        w.writerows(zip(*columns))
 
 
 def write_json(path, payload):
@@ -366,79 +346,87 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def save_cold_split(split, outdir):
-    """Persist a cold split as train/val/test CSVs plus a JSON manifest.
+def read_exact(fh, size, path):
+    """Read exactly ``size`` bytes from binary ``fh``; FormatError if it ends early."""
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise FormatError(f"{path}: truncated file, it ends early")
+    return raw
 
-    Validation and test files mix warm and cold rows; the manifest's cold
-    item list separates them again on load. The manifest also carries the
-    full id vocabularies so empty rows/columns survive the round trip.
+
+def _save_split(split, outdir, held, **manifest):
+    """Write train.csv, one CSV per held-out pair array, and manifest.json.
+
+    The manifest carries the full id vocabularies so empty rows and columns
+    survive the round trip. negatives.csv has no value column.
     """
     os.makedirs(outdir, exist_ok=True)
     t = split.train
     _write_pairs_csv(os.path.join(outdir, "train.csv"), t, t.interactions, t.timestamps)
-    val = np.concatenate([split.warm_val, split.cold_val])
-    test = np.concatenate([split.warm_test, split.cold_test])
-    _write_pairs_csv(os.path.join(outdir, "val.csv"), t, val)
-    _write_pairs_csv(os.path.join(outdir, "test.csv"), t, test)
-    write_json(
-        os.path.join(outdir, "manifest.json"),
-        {
-            "protocol": "cold",
-            "seed": split.seed,
-            "cold_item_ids": list(split.cold_item_ids),
-            "user_ids": list(t.user_ids),
-            "item_ids": list(t.item_ids),
-            "files": {"train": "train.csv", "val": "val.csv", "test": "test.csv"},
-        },
-    )
+    for name, pairs in held.items():
+        _write_pairs_csv(os.path.join(outdir, f"{name}.csv"), t, pairs,
+                         values=name != "negatives")
+    write_json(os.path.join(outdir, "manifest.json"), dict(
+        manifest, seed=split.seed, user_ids=list(t.user_ids), item_ids=list(t.item_ids),
+        files={name: f"{name}.csv" for name in ("train", *held)},
+    ))
+
+
+def save_cold_split(split, outdir):
+    """Persist a cold split as train/val/test CSVs plus a JSON manifest.
+
+    Validation and test files mix warm and cold rows; the manifest's cold
+    item list separates them again on load.
+    """
+    _save_split(split, outdir, {
+        "val": np.concatenate([split.warm_val, split.cold_val]),
+        "test": np.concatenate([split.warm_test, split.cold_test]),
+    }, protocol="cold", cold_item_ids=list(split.cold_item_ids))
 
 
 def save_warm_split(split, outdir):
-    """Persist a warm split: train/test CSVs, negatives CSV, JSON manifest."""
-    os.makedirs(outdir, exist_ok=True)
-    t = split.train
-    _write_pairs_csv(os.path.join(outdir, "train.csv"), t, t.interactions, t.timestamps)
-    test = np.column_stack([np.arange(len(split.heldout)), split.heldout])
-    _write_pairs_csv(os.path.join(outdir, "test.csv"), t, test)
-    with open(os.path.join(outdir, "negatives.csv"), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["user", "item"])
-        for row in range(split.negatives.shape[0]):
-            for it in split.negatives[row]:
-                w.writerow([t.user_ids[row], t.item_ids[it]])
-    write_json(
-        os.path.join(outdir, "manifest.json"),
-        {
-            "protocol": "warm",
-            "seed": split.seed,
-            "min_user_clicks": split.min_user_clicks,
-            "negatives_per_user": int(split.negatives.shape[1]),
-            "user_ids": list(t.user_ids),
-            "item_ids": list(t.item_ids),
-            "files": {
-                "train": "train.csv",
-                "test": "test.csv",
-                "negatives": "negatives.csv",
-            },
-        },
-    )
+    """Persist a warm split: train/test CSVs, negatives CSV, JSON manifest.
+
+    test.csv holds each user's held-out item; negatives.csv holds a
+    user,item row per negative, user by user.
+    """
+    rows = np.arange(len(split.heldout))
+    n_neg = split.negatives.shape[1]
+    _save_split(split, outdir, {
+        "test": np.column_stack([rows, split.heldout]),
+        "negatives": np.column_stack([np.repeat(rows, n_neg), split.negatives.ravel()]),
+    }, protocol="warm", min_user_clicks=split.min_user_clicks, negatives_per_user=int(n_neg))
 
 
 def _read_pairs_csv(path, umap, imap):
+    """Read a file written by _write_pairs_csv back into pairs and timestamps.
+
+    ``umap``/``imap`` map ids to rows and columns. A row of the wrong width,
+    an unknown id or a bad timestamp raises FormatError naming the line.
+    """
     fh, reader = _open_rows(path, "csv")
-    pairs, stamps = [], []
+    users, items, stamps = [], [], []
     with fh:
-        header = next(reader)
+        header = next(reader, [])
         has_ts = len(header) == 4
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            pairs.append((umap[row[0]], imap[row[1]]))
+            if len(row) != len(header):
+                raise FormatError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            u, it = umap.get(row[0]), imap.get(row[1])
+            if u is None or it is None:
+                raise FormatError(f"{path}:{lineno}: unknown user or item in {row[:2]}")
+            users.append(u)
+            items.append(it)
             if has_ts:
-                stamps.append(int(row[3]))
-    pairs = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
-    ts = np.array(stamps, dtype=np.int64) if has_ts else None
-    return pairs, ts
+                try:
+                    stamps.append(_timestamp(row[3]))
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: bad timestamp {row[3]!r}") from None
+    pairs = np.column_stack([np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)])
+    return pairs, np.array(stamps, dtype=np.int64) if has_ts else None
 
 
 def load_split(dirpath):
@@ -450,20 +438,16 @@ def load_split(dirpath):
     umap = {u: i for i, u in enumerate(user_ids)}
     imap = {it: j for j, it in enumerate(item_ids)}
 
-    def dataset_of(name, timestamps_ok=True):
-        pairs, ts = _read_pairs_csv(os.path.join(dirpath, manifest["files"][name]), umap, imap)
-        X = sp.csr_matrix(
-            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-            shape=(len(user_ids), len(item_ids)),
-            dtype=np.float64,
-        )
-        return Dataset(X=X, user_ids=user_ids, item_ids=item_ids,
-                       interactions=pairs, timestamps=ts if timestamps_ok else None)
+    def read(name):
+        return _read_pairs_csv(os.path.join(dirpath, manifest["files"][name]), umap, imap)
 
+    if manifest["protocol"] not in ("cold", "warm"):
+        raise FormatError(f"{dirpath}: unknown split protocol {manifest['protocol']!r}")
+    pairs, ts = read("train")
+    train = Dataset.from_pairs(pairs, user_ids, item_ids, ts)
+    test, _ = read("test")
     if manifest["protocol"] == "cold":
-        train = dataset_of("train")
-        val, _ = _read_pairs_csv(os.path.join(dirpath, manifest["files"]["val"]), umap, imap)
-        test, _ = _read_pairs_csv(os.path.join(dirpath, manifest["files"]["test"]), umap, imap)
+        val, _ = read("val")
         cold_ids = tuple(manifest["cold_item_ids"])
         cold_cols = np.array(sorted(imap[c] for c in cold_ids), dtype=np.int64)
         in_cold_v = np.isin(val[:, 1], cold_cols)
@@ -477,32 +461,19 @@ def load_split(dirpath):
             cold_item_ids=cold_ids,
             seed=manifest["seed"],
         )
-    if manifest["protocol"] == "warm":
-        train = dataset_of("train")
-        test, _ = _read_pairs_csv(os.path.join(dirpath, manifest["files"]["test"]), umap, imap)
-        if len(test) != len(user_ids) or len(np.unique(test[:, 0])) != len(user_ids):
-            raise FormatError(f"{dirpath}: test file must hold exactly one row per user")
-        heldout = np.empty(len(user_ids), dtype=np.int64)
-        heldout[test[:, 0]] = test[:, 1]
-        n_neg = manifest["negatives_per_user"]
-        negatives = np.empty((len(user_ids), n_neg), dtype=np.int64)
-        fill = np.zeros(len(user_ids), dtype=np.int64)
-        fh, reader = _open_rows(os.path.join(dirpath, manifest["files"]["negatives"]), "csv")
-        with fh:
-            next(reader)
-            for row in reader:
-                if not row:
-                    continue
-                u = umap[row[0]]
-                negatives[u, fill[u]] = imap[row[1]]
-                fill[u] += 1
-        if not np.all(fill == n_neg):
-            raise FormatError(f"{dirpath}: negatives file does not cover every user")
-        return WarmSplit(
-            train=train,
-            heldout=heldout,
-            negatives=negatives,
-            seed=manifest["seed"],
-            min_user_clicks=manifest["min_user_clicks"],
-        )
-    raise FormatError(f"{dirpath}: unknown split protocol {manifest['protocol']!r}")
+    if len(test) != len(user_ids) or len(np.unique(test[:, 0])) != len(user_ids):
+        raise FormatError(f"{dirpath}: test file must hold exactly one row per user")
+    heldout = np.empty(len(user_ids), dtype=np.int64)
+    heldout[test[:, 0]] = test[:, 1]
+    n_neg = manifest["negatives_per_user"]
+    negs, _ = read("negatives")
+    if np.any(np.bincount(negs[:, 0], minlength=len(user_ids)) != n_neg):
+        raise FormatError(f"{dirpath}: negatives file must hold {n_neg} rows per user")
+    by_user = np.argsort(negs[:, 0], kind="stable")
+    return WarmSplit(
+        train=train,
+        heldout=heldout,
+        negatives=negs[by_user, 1].reshape(len(user_ids), n_neg),
+        seed=manifest["seed"],
+        min_user_clicks=manifest["min_user_clicks"],
+    )

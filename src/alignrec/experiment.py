@@ -17,6 +17,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -251,9 +252,7 @@ class _Pipeline:
     def __init__(self, cfg, seed=None, workers=None, output=None):
         self.cfg = cfg
         self.seed = cfg["seed"] if seed is None else int(seed)
-        if workers is None:
-            workers = os.environ.get(WORKERS_ENV, cfg.get("workers") or 1)
-        self.workers = int(workers)
+        self._workers = workers
         out = output or cfg.get("output")
         if not out:
             raise ConfigError("an output directory is required (--output or config output)")
@@ -263,6 +262,22 @@ class _Pipeline:
         self.model_path = os.path.join(out, "model.bin")
         self.report_paths = {}
         self.protocol = cfg["split"]["protocol"]
+
+    @cached_property
+    def workers(self):
+        """Grid-search workers: the argument, else $ALIGNREC_WORKERS, else the config.
+
+        Resolved on first use, so the verbs without a grid search never read it.
+        """
+        if self._workers is not None:
+            return int(self._workers)
+        raw = os.environ.get(WORKERS_ENV)
+        if raw is None:
+            return int(self.cfg.get("workers") or 1)
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
 
     def _stage(self, name):
         """Run one stage, log its wall time, and tag any failure with it."""
@@ -441,11 +456,13 @@ def _run(verb, config_path, seed=None, workers=None, output=None):
 
     The verbs that refit hold an INCOMPLETE marker in the output directory
     from before their first stage until after their last, so a failed run
-    leaves it behind.
+    leaves it behind. They resolve the worker count first, so a bad
+    ALIGNREC_WORKERS fails before any stage runs.
     """
     pipe = _Pipeline(load_config(config_path), seed=seed, workers=workers, output=output)
     marker = os.path.join(pipe.output, "INCOMPLETE")
     if verb in _REFIT_VERBS:
+        log.info("grid-search workers: %d", pipe.workers)
         os.makedirs(pipe.output, exist_ok=True)
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write("run in progress or failed; outputs may be partial\n")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .data import write_json
+from .data import read_exact, write_json
 from .errors import FormatError
 
 log = logging.getLogger(__name__)
@@ -185,7 +185,10 @@ def _load_embeddings_text(path):
                 item_id, payload = line.split("\t")
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: expected 'id<TAB>v1,v2,...'") from None
-            v = np.array([float(x) for x in payload.split(",")])
+            try:
+                v = np.array([float(x) for x in payload.split(",")])
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: bad embedding value in {payload!r}") from None
             if v.shape != (dim,):
                 raise FormatError(
                     f"{path}:{lineno}: vector has width {v.shape[0]}, header says {dim}"
@@ -195,19 +198,28 @@ def _load_embeddings_text(path):
 
 
 def _load_embeddings_binary(path):
+    """Read a file written by write_embeddings_binary.
+
+    A bad magic, a file that ends early, an id that is not UTF-8, or bytes
+    past the last row raise FormatError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_EMB_MAGIC))
         if magic != _EMB_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
-        n_rows, dim = struct.unpack("<QQ", fh.read(16))
+        n_rows, dim = struct.unpack("<QQ", read_exact(fh, 16, path))
         vecs = {}
         for _ in range(n_rows):
-            (id_len,) = struct.unpack("<H", fh.read(2))
-            item_id = fh.read(id_len).decode("utf-8")
-            buf = fh.read(8 * dim)
-            if len(buf) != 8 * dim:
-                raise FormatError(f"{path}: truncated row for item {item_id!r}")
-            vecs[item_id] = np.frombuffer(buf, dtype="<f8").astype(np.float64)
+            (id_len,) = struct.unpack("<H", read_exact(fh, 2, path))
+            raw_id = read_exact(fh, id_len, path)
+            try:
+                item_id = raw_id.decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: item id {raw_id!r} is not UTF-8") from None
+            raw = read_exact(fh, 8 * dim, path)
+            vecs[item_id] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after the last embedding row")
     return vecs, dim
 
 

@@ -64,27 +64,6 @@ def gram(a, memory_budget=None):
     return _symmetrize(c)
 
 
-def masked_gram(a, row_mask, memory_budget=None):
-    """Compute ``A_S^T A_S`` where ``A_S`` keeps only the masked rows.
-
-    Decomposing ``X^T W X`` into ``w1*gram(X) + (w0-w1)*masked_gram(X, pos)``
-    confines per-column work to the positive-row submatrix.
-    """
-    row_mask = np.asarray(row_mask, dtype=bool)
-    if row_mask.shape != (a.shape[0],):
-        raise ValueError(
-            f"row mask has length {row_mask.shape}, expected ({a.shape[0]},)"
-        )
-    check_dense_budget(a.shape[1], a.shape[1], memory_budget, what="Gram matrix")
-    if sp.issparse(a):
-        sub = a.tocsr()[row_mask]
-        c = (sub.T @ sub).toarray().astype(np.float64, copy=False)
-    else:
-        sub = np.asarray(a, dtype=np.float64)[row_mask]
-        c = sub.T @ sub
-    return _symmetrize(c)
-
-
 def _lu_factor(m):
     """Pivoted LU of a square matrix; raises on singularity."""
     m = np.asarray(m, dtype=np.float64)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .data import write_json
+from .data import read_exact, write_json
 from .errors import FormatError, SingularMatrixError, SolverError
 from .linalg import gram, solve_general, invert, check_dense_budget
 
@@ -311,34 +311,28 @@ def load_model(path, memory_budget=None):
     with open(path + ".json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     with open(path, "rb") as fh:
-
-        def read(size):
-            raw = fh.read(size)
-            if len(raw) != size:
-                raise FormatError(f"{path}: model file ends early")
-            return raw
-
         magic = fh.read(len(MODEL_MAGIC))
         if magic != MODEL_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}, not a model file")
-        mode, n = struct.unpack("<IQ", read(12))
+        mode, n = struct.unpack("<IQ", read_exact(fh, 12, path))
         check_dense_budget(n, n, memory_budget, what="model matrix")
-        (has_ids,) = struct.unpack("<B", read(1))
+        (has_ids,) = struct.unpack("<B", read_exact(fh, 1, path))
         item_ids = None
         if has_ids:
             ids = []
             for _ in range(n):
-                (ln,) = struct.unpack("<H", read(2))
-                ids.append(read(ln).decode("utf-8"))
+                (ln,) = struct.unpack("<H", read_exact(fh, 2, path))
+                ids.append(read_exact(fh, ln, path).decode("utf-8"))
             item_ids = tuple(ids)
         if mode == 0:
-            theta = np.frombuffer(read(8 * n * n), dtype="<f8").reshape(n, n).copy()
+            raw = read_exact(fh, 8 * n * n, path)
+            theta = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
         else:
-            (k,) = struct.unpack("<I", read(4))
+            (k,) = struct.unpack("<I", read_exact(fh, 4, path))
             theta = np.zeros((n, n))
             for j in range(n):
-                idx = np.frombuffer(read(4 * k), dtype="<u4")
-                vals = np.frombuffer(read(8 * k), dtype="<f8")
+                idx = np.frombuffer(read_exact(fh, 4 * k, path), dtype="<u4")
+                vals = np.frombuffer(read_exact(fh, 8 * k, path), dtype="<f8")
                 theta[idx, j] = vals
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after the last model column")

@@ -12,9 +12,8 @@ import csv
 import os
 
 import numpy as np
-import scipy.sparse as sp
 
-from .data import Dataset
+from .data import Dataset, _write_pairs_csv
 
 
 def planted_dataset(n_users=2000, n_items=400, n_topics=20, seed=0,
@@ -32,7 +31,7 @@ def planted_dataset(n_users=2000, n_items=400, n_topics=20, seed=0,
     if n_noise_labels is None:
         n_noise_labels = n_topics
 
-    pairs = []
+    rows = []
     for u in range(n_users):
         k_t = int(rng.integers(user_topics[0], user_topics[1] + 1))
         topics = rng.choice(n_topics, size=k_t, replace=False)
@@ -47,9 +46,8 @@ def planted_dataset(n_users=2000, n_items=400, n_topics=20, seed=0,
         # Emit in random order so the last-click heldout is not biased
         # toward high item indices.
         ordered = np.array(sorted(chosen), dtype=np.int64)
-        for it in ordered[rng.permutation(len(ordered))]:
-            pairs.append((u, int(it)))
-    pairs = np.array(pairs, dtype=np.int64)
+        rows.append(np.column_stack([np.full(m, u), ordered[rng.permutation(m)]]))
+    pairs = np.concatenate(rows)
 
     labeled = item_topic.copy()
     flip = rng.random(n_items) < label_noise
@@ -58,16 +56,10 @@ def planted_dataset(n_users=2000, n_items=400, n_topics=20, seed=0,
     noise_labels = [[f"n{int(x):02d}"] for x in rng.integers(0, n_noise_labels, size=n_items)]
     texts = [f"topic {lab[0]} item" for lab in topic_labels]
 
-    X = sp.csr_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-        shape=(n_users, n_items),
-        dtype=np.float64,
-    )
-    dataset = Dataset(
-        X=X,
-        user_ids=tuple(f"u{u:05d}" for u in range(n_users)),
-        item_ids=tuple(f"i{j:05d}" for j in range(n_items)),
-        interactions=pairs,
+    dataset = Dataset.from_pairs(
+        pairs,
+        user_ids=[f"u{u:05d}" for u in range(n_users)],
+        item_ids=[f"i{j:05d}" for j in range(n_items)],
         timestamps=np.arange(len(pairs), dtype=np.int64),
     )
     meta = {
@@ -87,25 +79,17 @@ def write_dataset_csvs(dataset, meta, outdir):
     """
     os.makedirs(outdir, exist_ok=True)
     paths = {"interactions": os.path.join(outdir, "interactions.csv")}
-    with open(paths["interactions"], "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["user", "item", "value", "timestamp"])
-        for k, (u, it) in enumerate(dataset.interactions):
-            ts = dataset.timestamps[k] if dataset.timestamps is not None else k
-            w.writerow([dataset.user_ids[u], dataset.item_ids[it], "1", str(int(ts))])
-    for attr in ("topic_labels", "noise_labels"):
-        name = attr.split("_")[0]
+    ts = dataset.timestamps
+    if ts is None:
+        ts = np.arange(len(dataset.interactions))
+    _write_pairs_csv(paths["interactions"], dataset, dataset.interactions, ts)
+    columns = {"topic": meta["topic_labels"], "noise": meta["noise_labels"],
+               "text": [[text] for text in meta["texts"]]}
+    for name, per_item in columns.items():
         paths[name] = os.path.join(outdir, f"{name}.csv")
         with open(paths[name], "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["item", "value"])
-            for j, labels in enumerate(meta[attr]):
-                for lab in labels:
-                    w.writerow([dataset.item_ids[j], lab])
-    paths["text"] = os.path.join(outdir, "text.csv")
-    with open(paths["text"], "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["item", "value"])
-        for j, text in enumerate(meta["texts"]):
-            w.writerow([dataset.item_ids[j], text])
+            w.writerows((dataset.item_ids[j], v) for j, values in enumerate(per_item)
+                        for v in values)
     return paths

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -17,6 +18,7 @@ from alignrec.cli import (
     main,
 )
 from alignrec.errors import FormatError, ParseError, SingularMatrixError, StageError
+from alignrec.features import write_embeddings_binary, write_embeddings_text
 
 
 # ----------------------------------------------------------------- parsing
@@ -171,3 +173,75 @@ def test_main_evaluate_corrupt_model_is_a_data_error(planted_config, capsys, cor
     with open(model, "wb") as fh:
         fh.write(corrupt(raw))
     assert main(["evaluate", "--config", path]) == EXIT_DATA
+
+
+def test_main_verbs_without_workers_ignore_workers_env(planted_config, monkeypatch, capsys):
+    path = planted_config()
+    assert main(["fit", "--config", path]) == EXIT_OK
+    monkeypatch.setenv("ALIGNREC_WORKERS", "many")
+    for verb in ("split", "featurize", "evaluate"):
+        assert main([verb, "--config", path]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_main_bad_workers_env_fails_run_before_any_stage(planted_config, monkeypatch, caplog):
+    monkeypatch.setenv("ALIGNREC_WORKERS", "many")
+    path = planted_config()
+    assert main(["run", "--config", path]) == EXIT_CONFIG
+    assert "ALIGNREC_WORKERS must be an integer, got 'many'" in caplog.text
+    assert "stage " not in caplog.text
+
+
+def _edit_lines(path, edit):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+
+
+@pytest.mark.parametrize("protocol,name,edit,message", [
+    pytest.param("cold", "train.csv",
+                 lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",soon"] + lines[2:],
+                 "train.csv:2: bad timestamp 'soon'", id="bad-timestamp"),
+    pytest.param("cold", "val.csv", lambda lines: lines[:2] + ["lonely"] + lines[2:],
+                 "val.csv:3: expected 3 fields, got 1", id="short-row"),
+    pytest.param("cold", "test.csv", lambda lines: lines + ["nobody,i00000,1"],
+                 "unknown user or item in ['nobody', 'i00000']", id="unknown-user"),
+    pytest.param("warm", "negatives.csv", lambda lines: lines + [lines[1]],
+                 "negatives file must hold 20 rows per user", id="extra-negative"),
+])
+def test_main_evaluate_corrupt_split_is_a_data_error(planted_config, capsys, caplog,
+                                                     protocol, name, edit, message):
+    path = planted_config(protocol=protocol, negatives=20)
+    assert main(["split", "--config", path]) == EXIT_OK
+    _edit_lines(os.path.join(capsys.readouterr().out.strip(), name), edit)
+    # load-split runs before load-model, so the missing model is never reached
+    assert main(["evaluate", "--config", path]) == EXIT_DATA
+    assert "stage 'load-split' failed" in caplog.text and message in caplog.text
+
+
+@pytest.mark.parametrize("suffix,corrupt,message", [
+    pytest.param(".tsv", lambda raw: raw.replace(b"\t0.5,", b"\t0.5,abc,", 1),
+                 "bad embedding value", id="text-bad-float"),
+    pytest.param(".bin", lambda raw: raw.replace(b"i00000", b"i\xff0000", 1),
+                 "is not UTF-8", id="binary-bad-id"),
+    pytest.param(".bin", lambda raw: raw[:12], "truncated", id="binary-truncated-header"),
+    pytest.param(".bin", lambda raw: raw + b"\0", "trailing bytes", id="binary-trailing-bytes"),
+])
+def test_main_featurize_corrupt_embeddings_is_a_data_error(planted_config, caplog,
+                                                           suffix, corrupt, message):
+    path = planted_config()
+    emb = os.path.join(os.path.dirname(path), "emb" + suffix)
+    write = write_embeddings_text if suffix == ".tsv" else write_embeddings_binary
+    write(emb, [f"i{j:05d}" for j in range(60)], np.full((60, 2), 0.5))
+    with open(emb, "rb") as fh:
+        raw = fh.read()
+    with open(emb, "wb") as fh:
+        fh.write(corrupt(raw))
+    with open(path, encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["attributes"] = [{"name": "emb", "kind": "embedding_file", "path": emb}]
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(cfg, fh)
+    assert main(["featurize", "--config", path]) == EXIT_DATA
+    assert message in caplog.text

@@ -1,5 +1,9 @@
 """Interaction loading, cold/warm splitting, and split persistence."""
 
+import dataclasses
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,7 @@ from alignrec import (
     save_cold_split,
     save_warm_split,
 )
-from alignrec.synthetic import planted_dataset
+from alignrec.synthetic import planted_dataset, write_dataset_csvs
 
 
 def _write(path, text):
@@ -126,6 +130,13 @@ def test_load_rejects_empty_ids(tmp_path):
 def test_load_rejects_bad_timestamp(tmp_path):
     p = _write(tmp_path / "x.csv", "user,item,value,timestamp\na,i,1,lately\n")
     with pytest.raises(ParseError, match="bad timestamp"):
+        load_interactions(p)
+
+
+def test_load_rejects_timestamp_outside_int64(tmp_path):
+    p = _write(tmp_path / "x.csv",
+               f"user,item,value,timestamp\na,i,1,5\na,i,1,{2**63}\n")
+    with pytest.raises(ParseError, match="line 3: bad timestamp"):
         load_interactions(p)
 
 
@@ -319,3 +330,37 @@ def test_load_split_rejects_short_negatives_file(tmp_path):
     neg_file.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
     with pytest.raises(FormatError, match="negatives"):
         load_split(str(tmp_path / "s"))
+
+
+# --------------------------------------------------------- benchmark inputs
+
+# sha256 of write_dataset_csvs output. The benchmark's inputs are these
+# files, so a change to the shared pairs writer must not move their bytes.
+_PLANTED_DIGESTS = {
+    "interactions": "ba613df3e3ffaca0f1443902c9721cf6a19f6aa1520b2398eb87590e508224d6",
+    "noise": "5dc92f0871a06cfd603edb854dba2b7d9272788e2914483218961ff7c2d0db96",
+    "text": "5f19073bfdc7161599ef381502f6404aaf18e0119d767660edb5ec40aa3610ca",
+    "topic": "42d75d63217d32ec9b9338c6f8d24251611bb6618d5d425f28718937bac47e03",
+}
+_ODD_ID_DIGESTS = {
+    "interactions": "9337142a1a7654d92ce29c0d780f58cab5f76416f37911cd44db2ed1fa6fb983",
+    "noise": "549675cd3506c433bafaa66da616e8a7ee421ef53eb41098e1a13338745e724b",
+    "text": "c2534827968e52e2d0d479ef162afd6aaece3894abfbae7d9003c6c61ce61b8b",
+    "topic": "ba910899ce170afa4e942c44a1fccade78edf3e78317c9d23e9e75d9ffef0f54",
+}
+
+
+def _digests(dataset, meta, outdir):
+    paths = write_dataset_csvs(dataset, meta, str(outdir))
+    return {k: hashlib.sha256(Path(p).read_bytes()).hexdigest() for k, p in paths.items()}
+
+
+def test_write_dataset_csvs_bytes_are_pinned(tmp_path):
+    d, meta = planted_dataset(n_users=40, n_items=16, n_topics=4, seed=7, clicks=(3, 6))
+    assert _digests(d, meta, tmp_path / "planted") == _PLANTED_DIGESTS
+    # ids with commas and quotes, and no timestamps (rows are numbered)
+    odd = dataclasses.replace(
+        d, timestamps=None,
+        user_ids=tuple(f'u,{u}"q' if u % 3 == 0 else f"u {u}" for u in range(d.n_users)),
+        item_ids=tuple(f'i"{j},x' if j % 2 else f"i{j}" for j in range(d.n_items)))
+    assert _digests(odd, meta, tmp_path / "odd") == _ODD_ID_DIGESTS

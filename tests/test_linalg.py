@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from alignrec import CapacityError, SingularMatrixError, gram, masked_gram, solve_general
+from alignrec import CapacityError, SingularMatrixError, gram, solve_general
 from alignrec.linalg import check_dense_budget, invert
 
 
@@ -41,25 +41,6 @@ def test_check_dense_budget_counts_bytes():
     check_dense_budget(4, 4, memory_budget=128)  # exactly at the budget
     with pytest.raises(CapacityError):
         check_dense_budget(4, 5, memory_budget=128)
-
-
-def test_masked_gram_keeps_selected_rows():
-    a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    mask = np.array([True, False, True])
-    np.testing.assert_allclose(masked_gram(a, mask), a[mask].T @ a[mask], atol=1e-12)
-
-
-def test_masked_gram_complements_sum_to_full():
-    rng = np.random.default_rng(3)
-    a = sp.csr_matrix((rng.random((25, 9)) < 0.4).astype(float))
-    mask = rng.random(25) < 0.5
-    total = masked_gram(a, mask) + masked_gram(a, ~mask)
-    np.testing.assert_allclose(total, gram(a), atol=1e-12)
-
-
-def test_masked_gram_rejects_wrong_mask_length():
-    with pytest.raises(ValueError, match="mask"):
-        masked_gram(np.ones((3, 2)), np.array([True, False]))
 
 
 def test_solve_general_small_residual_on_conditioned_systems():
