@@ -160,9 +160,9 @@ def mix_similarities(blocks, mu):
 def fit_mix_coefficients(blocks, X_train, validation, grid, k=10):
     """Pick the grid point whose metadata-only scores rank validation best.
 
-    Scores are X_train @ G_mixed, judged by ndcg@k on the pool that
-    evaluation.validation_scenario picks for ``validation`` (a cold or a
-    warm split). Ties prefer fewer nonzero coefficients, then earlier grid
+    Scores are X_train @ G_mixed, judged by the ndcg@k that
+    evaluation.validation_metrics gives on ``validation`` (a cold or a warm
+    split). Ties prefer fewer nonzero coefficients, then earlier grid
     position. A one-point grid is returned without scoring.
     """
     grid = list(grid)
@@ -170,16 +170,10 @@ def fit_mix_coefficients(blocks, X_train, validation, grid, k=10):
         raise ValueError("empty coefficient grid")
     if len(grid) == 1:
         return grid[0]
-    scenario, use = evaluation.validation_scenario(validation)
-
     best = None
     for idx, mu in enumerate(grid):
-        g = mix_similarities(blocks, mu)
-        scores = np.asarray(X_train @ g)
-        report = evaluation.evaluate_scenario(
-            scores, validation, scenario, ks=(k,), use=use, with_ci=False
-        )
-        ndcg = report.metric("ndcg", k).mean
+        scores = np.asarray(X_train @ mix_similarities(blocks, mu))
+        ndcg = evaluation.validation_metrics(scores, validation, k)[f"ndcg@{k}"]
         key = (ndcg, -mu.nnz)
         if best is None or key > best[0]:
             best = (key, idx, mu)

@@ -12,11 +12,13 @@ Both are pure functions of (dataset, seed) and reproduce byte-identically.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,11 +111,14 @@ class WarmSplit:
     min_user_clicks: int = 20
 
 
-def _open_rows(path, fmt):
-    if fmt not in _DELIMITERS:
-        raise ValueError(f"format must be one of {sorted(_DELIMITERS)}, got {fmt!r}")
-    fh = open(path, "r", encoding="utf-8", newline="")
-    return fh, csv.reader(fh, delimiter=_DELIMITERS[fmt])
+@contextlib.contextmanager
+def open_utf8(path, newline=""):
+    """Open ``path`` as UTF-8 text; bytes that are not UTF-8 raise FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: bytes that are not UTF-8 ({e.reason})") from None
 
 
 def load_interactions(path, format="csv", binarize_threshold=0.5):
@@ -124,9 +129,11 @@ def load_interactions(path, format="csv", binarize_threshold=0.5):
     rows. Duplicate (user, item) pairs keep the most recent occurrence
     (largest timestamp, else latest position).
     """
-    fh, reader = _open_rows(path, format)
+    if format not in _DELIMITERS:
+        raise ValueError(f"format must be one of {sorted(_DELIMITERS)}, got {format!r}")
     users, items, stamps = [], [], []
-    with fh:
+    with open_utf8(path) as fh:
+        reader = csv.reader(fh, delimiter=_DELIMITERS[format])
         header = next(reader, None)
         if header is None:
             raise FormatError(f"{path}: empty file, expected a header row")
@@ -354,6 +361,19 @@ def read_exact(fh, size, path):
     return raw
 
 
+def read_item_id(fh, path):
+    """Read one length-prefixed UTF-8 item id from binary ``fh``.
+
+    FormatError if the file ends early or the id is not UTF-8.
+    """
+    (size,) = struct.unpack("<H", read_exact(fh, 2, path))
+    raw = read_exact(fh, size, path)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: item id {raw!r} is not UTF-8") from None
+
+
 def _save_split(split, outdir, held, **manifest):
     """Write train.csv, one CSV per held-out pair array, and manifest.json.
 
@@ -402,11 +422,12 @@ def _read_pairs_csv(path, umap, imap):
     """Read a file written by _write_pairs_csv back into pairs and timestamps.
 
     ``umap``/``imap`` map ids to rows and columns. A row of the wrong width,
-    an unknown id or a bad timestamp raises FormatError naming the line.
+    an unknown id, a repeated (user, item) pair or a bad timestamp raises
+    FormatError naming the line.
     """
-    fh, reader = _open_rows(path, "csv")
-    users, items, stamps = [], [], []
-    with fh:
+    users, items, stamps, seen = [], [], [], set()
+    with open_utf8(path) as fh:
+        reader = csv.reader(fh)
         header = next(reader, [])
         has_ts = len(header) == 4
         for lineno, row in enumerate(reader, start=2):
@@ -418,6 +439,9 @@ def _read_pairs_csv(path, umap, imap):
             u, it = umap.get(row[0]), imap.get(row[1])
             if u is None or it is None:
                 raise FormatError(f"{path}:{lineno}: unknown user or item in {row[:2]}")
+            if (u, it) in seen:
+                raise FormatError(f"{path}:{lineno}: repeated pair {row[:2]}")
+            seen.add((u, it))
             users.append(u)
             items.append(it)
             if has_ts:

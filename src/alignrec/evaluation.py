@@ -8,6 +8,7 @@ lower item index so reruns and reorderings reproduce the same tables.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -50,52 +51,55 @@ def rank_candidates(scores_row, candidates):
     return candidates[order]
 
 
-def _relevant_ranks(rl):
-    """Sorted 1-based ranks of the relevant items that appear in the pool."""
-    return np.flatnonzero(np.isin(rl.ranked, rl.relevant)) + 1
-
-
-def _screen(lists):
+def _hit_ranks(lists):
+    """The table every metric and k of ``lists`` reduces over: per user with
+    relevant items (the rest are excluded with one warning) the user, the
+    relevant count, the hit count, and the sorted 1-based hit ranks,
+    concatenated user by user."""
     kept = [rl for rl in lists if len(rl.relevant) > 0]
-    dropped = len(lists) - len(kept)
-    if dropped:
-        log.warning("%d users have no relevant items and are excluded", dropped)
+    if len(kept) < len(lists):
+        log.warning("%d users have no relevant items and are excluded",
+                    len(lists) - len(kept))
     if not kept:
         raise ValueError("no users with a nonempty relevant set")
-    return kept
+    ranks = [np.flatnonzero(np.isin(rl.ranked, rl.relevant)) + 1 for rl in kept]
+    return (np.array([rl.user for rl in kept]), np.array([len(rl.relevant) for rl in kept]),
+            np.array([len(r) for r in ranks]), np.concatenate(ranks))
+
+
+def _metric(table, name, k):
+    """hr@k or ndcg@k per user of a hit-rank table.
+
+    dcg is np.sum over each user's rank-ordered discounts (row-wise, per hit
+    count) and idcg np.sum over a discount prefix, so both equal the
+    per-user 1-D sums bit for bit.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    users, n_relevant, n_hits, ranks = table
+    hits = np.bincount(np.repeat(np.arange(len(users)), n_hits)[ranks <= k],
+                       minlength=len(users))
+    depth = np.minimum(n_relevant, k)
+    if name == "hr":
+        return MetricResult(name=name, k=k, users=users, per_user=hits / depth)
+    disc = 1.0 / np.log2(1.0 + np.arange(1, k + 1))
+    starts = np.cumsum(n_hits) - n_hits
+    dcg = np.zeros(len(users))
+    for h in np.unique(hits[hits > 0]):
+        rows = np.flatnonzero(hits == h)
+        dcg[rows] = disc[ranks[starts[rows, None] + np.arange(h)] - 1].sum(axis=1)
+    idcg = np.array([np.sum(disc[:m]) for m in range(k + 1)])
+    return MetricResult(name=name, k=k, users=users, per_user=dcg / idcg[depth])
 
 
 def hr_at_k(lists, k):
     """Truncated recall at k, one value per user plus the mean."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    lists = _screen(lists)
-    users = np.array([rl.user for rl in lists])
-    vals = np.empty(len(lists))
-    for i, rl in enumerate(lists):
-        ranks = _relevant_ranks(rl)
-        vals[i] = np.count_nonzero(ranks <= k) / min(k, len(rl.relevant))
-    return MetricResult(name="hr", k=k, users=users, per_user=vals)
+    return _metric(_hit_ranks(lists), "hr", k)
 
 
 def ndcg_at_k(lists, k):
     """Normalized discounted cumulative gain at k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    lists = _screen(lists)
-    users = np.array([rl.user for rl in lists])
-    vals = np.empty(len(lists))
-    for i, rl in enumerate(lists):
-        ranks = _relevant_ranks(rl)
-        hit = ranks[ranks <= k]
-        dcg = float(np.sum(1.0 / np.log2(1.0 + hit)))
-        ideal = np.arange(1, min(k, len(rl.relevant)) + 1)
-        idcg = float(np.sum(1.0 / np.log2(1.0 + ideal)))
-        vals[i] = dcg / idcg
-    return MetricResult(name="ndcg", k=k, users=users, per_user=vals)
-
-
-_METRICS = {"hr": hr_at_k, "ndcg": ndcg_at_k}
+    return _metric(_hit_ranks(lists), "ndcg", k)
 
 
 def bootstrap_ci(per_user_values, resamples=500, fraction=0.20, seed=0):
@@ -153,32 +157,10 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _pairs_to_lists(scores, pairs, candidates, train_X):
-    """Group held-out (user, item) pairs into per-user ranked lists."""
-    users = np.unique(pairs[:, 0])
-    order = np.argsort(pairs[:, 0], kind="stable")
-    sorted_items = pairs[order, 1]
-    bounds = np.searchsorted(pairs[order, 0], users, side="right")
-    lists = []
-    prev = 0
-    indptr, indices = train_X.indptr, train_X.indices
-    for u, stop in zip(users, bounds):
-        relevant = np.unique(sorted_items[prev:stop])
-        prev = stop
-        s = np.asarray(scores[u], dtype=np.float64).copy()
-        s[indices[indptr[u] : indptr[u + 1]]] = -np.inf
-        lists.append(RankedList(user=int(u), ranked=rank_candidates(s, candidates),
-                                relevant=relevant))
-    return lists
-
-
-def build_ranked_lists(scores, split, scenario, use="test"):
-    """Construct per-user candidate rankings for one evaluation scenario.
-
-    cold/warm/all read a cold split's held-out pools (use picks val or
-    test); leave_one_out ranks each warm-split user's held-out click
-    against that user's negatives. Training positives score -inf first.
-    """
+def _pools(split, scenario, use):
+    """(user, candidate pool, relevant items) per user of one scenario: a
+    cold split's val or test pairs against the cold, warm or full item pool,
+    or a warm split's held-out click against the user's negatives."""
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if scenario == "leave_one_out":
@@ -186,34 +168,36 @@ def build_ranked_lists(scores, split, scenario, use="test"):
             raise ValueError("leave_one_out needs a warm split")
         if use != "test":
             raise ValueError("warm splits have a single held-out set")
-        lists = []
-        for u in range(len(split.heldout)):
-            cand = np.concatenate(([split.heldout[u]], split.negatives[u]))
-            lists.append(RankedList(
-                user=u,
-                ranked=rank_candidates(scores[u], cand),
-                relevant=np.array([split.heldout[u]]),
-            ))
-        return lists
+        return zip(range(len(split.heldout)),
+                   np.column_stack((split.heldout, split.negatives)), split.heldout[:, None])
 
     if not hasattr(split, "cold_val"):
         raise ValueError(f"scenario {scenario!r} needs a cold split")
     if use not in ("val", "test"):
         raise ValueError(f"use must be 'val' or 'test', got {use!r}")
-    warm = split.warm_val if use == "val" else split.warm_test
-    cold = split.cold_val if use == "val" else split.cold_test
-    n_items = split.train.n_items
-    cold_mask = np.zeros(n_items, dtype=bool)
-    cold_mask[split.cold_cols] = True
-    if scenario == "cold":
-        pairs, candidates = cold, np.flatnonzero(cold_mask)
-    elif scenario == "warm":
-        pairs, candidates = warm, np.flatnonzero(~cold_mask)
-    else:
-        pairs, candidates = np.concatenate([warm, cold]), np.arange(n_items)
-    if len(pairs) == 0 or len(candidates) == 0:
+    held = (split.warm_val, split.cold_val) if use == "val" else (split.warm_test, split.cold_test)
+    cold = np.isin(np.arange(split.train.n_items), split.cold_cols)
+    pairs, pool = {"cold": (held[1], np.flatnonzero(cold)),
+                   "warm": (held[0], np.flatnonzero(~cold)),
+                   "all": (np.concatenate(held), np.arange(len(cold)))}[scenario]
+    if len(pairs) == 0 or len(pool) == 0:
         raise ValueError(f"scenario {scenario!r} has an empty candidate pool or no held-out interactions")
-    return _pairs_to_lists(scores, pairs, candidates, split.train.X)
+    # distinct pairs sorted by (user, item): each user's run is its relevant set
+    pairs = np.unique(pairs, axis=0)
+    users, starts = np.unique(pairs[:, 0], return_index=True)
+    return zip(users.tolist(), itertools.repeat(pool), np.split(pairs[:, 1], starts[1:]))
+
+
+def build_ranked_lists(scores, split, scenario, use="test"):
+    """Rank every user's pool of one scenario; training positives score
+    -inf first, and ties break toward the lower item index."""
+    indptr, indices = split.train.X.indptr, split.train.X.indices
+    lists = []
+    for u, pool, relevant in _pools(split, scenario, use):
+        s = np.array(scores[u], dtype=np.float64)
+        s[indices[indptr[u] : indptr[u + 1]]] = -np.inf
+        lists.append(RankedList(user=u, ranked=rank_candidates(s, pool), relevant=relevant))
+    return lists
 
 
 def validation_scenario(split):
@@ -228,23 +212,33 @@ def validation_scenario(split):
     return ("cold" if len(split.cold_val) else "all"), "val"
 
 
+def validation_metrics(scores, split, k):
+    """ndcg@k and hr@k on the validation target: the one scorer of mix
+    selection and the solver grid search."""
+    scenario, use = validation_scenario(split)
+    rep = evaluate_scenario(scores, split, scenario, ks=(k,), use=use, with_ci=False)
+    return {f"{m}@{k}": rep.metric(m, k).mean for m in ("ndcg", "hr")}
+
+
 def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=("hr", "ndcg"),
                       use="test", with_ci=True, resamples=500, fraction=0.20,
                       seed=None):
     """Score one scenario and return an EvalReport with optional CIs.
 
-    The bootstrap seed defaults to the split's own seed so a rerun of the
-    same experiment reproduces the intervals byte for byte.
+    The pool is ranked once and its hit ranks are computed once; every
+    metric and k reduces over that table. The bootstrap seed defaults to
+    the split's own seed so a rerun of the same experiment reproduces the
+    intervals byte for byte.
     """
-    lists = build_ranked_lists(scores, split, scenario, use=use)
+    table = _hit_ranks(build_ranked_lists(scores, split, scenario, use=use))
     if seed is None:
         seed = split.seed
     results = []
     for name in metrics:
-        if name not in _METRICS:
-            raise ValueError(f"unknown metric {name!r}, have {sorted(_METRICS)}")
+        if name not in ("hr", "ndcg"):
+            raise ValueError(f"unknown metric {name!r}, have ['hr', 'ndcg']")
         for k in ks:
-            res = _METRICS[name](lists, k)
+            res = _metric(table, name, k)
             if with_ci:
                 try:
                     res.ci = bootstrap_ci(res.per_user, resamples=resamples,
@@ -252,5 +246,4 @@ def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=("hr", "ndcg"),
                 except ValueError:
                     log.warning("skipping CI for %s@%d: too few users", name, k)
             results.append(res)
-    n_users = len(results[0].users) if results else 0
-    return EvalReport(scenario=scenario, n_users=n_users, metrics=results)
+    return EvalReport(scenario=scenario, n_users=len(table[0]), metrics=results)

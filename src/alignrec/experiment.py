@@ -56,7 +56,7 @@ def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = yaml.safe_load(fh)
-        except yaml.YAMLError as e:
+        except (yaml.YAMLError, UnicodeDecodeError) as e:
             raise ConfigError(f"{path}: not valid YAML: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a mapping")
@@ -445,10 +445,7 @@ class _Pipeline:
     def _validation_metrics(self, point):
         X = self.val.train.X
         scores = solvers.predict(self._fit_point(X, self.val_d, point), X)
-        scenario, use = evaluation.validation_scenario(self.val)
-        rep = evaluation.evaluate_scenario(
-            scores, self.val, scenario, ks=(_SELECT_K,), use=use, with_ci=False)
-        return {f"{m}@{_SELECT_K}": rep.metric(m, _SELECT_K).mean for m in ("ndcg", "hr")}
+        return evaluation.validation_metrics(scores, self.val, _SELECT_K)
 
 
 def _run(verb, config_path, seed=None, workers=None, output=None):

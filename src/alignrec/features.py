@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .data import read_exact, write_json
+from .data import open_utf8, read_exact, read_item_id, write_json
 from .errors import FormatError
 
 log = logging.getLogger(__name__)
@@ -166,7 +166,7 @@ def multihot_encode(categories, name="categories"):
 
 def _load_embeddings_text(path):
     vecs = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path, newline=None) as fh:
         header = fh.readline().rstrip("\n")
         parts = header.split("\t")
         if len(parts) != 2 or parts[0] != "item_id":
@@ -210,12 +210,7 @@ def _load_embeddings_binary(path):
         n_rows, dim = struct.unpack("<QQ", read_exact(fh, 16, path))
         vecs = {}
         for _ in range(n_rows):
-            (id_len,) = struct.unpack("<H", read_exact(fh, 2, path))
-            raw_id = read_exact(fh, id_len, path)
-            try:
-                item_id = raw_id.decode("utf-8")
-            except UnicodeDecodeError:
-                raise FormatError(f"{path}: item id {raw_id!r} is not UTF-8") from None
+            item_id = read_item_id(fh, path)
             raw = read_exact(fh, 8 * dim, path)
             vecs[item_id] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
         if fh.read(1):
@@ -319,7 +314,7 @@ def load_metadata_column(path, item_index):
     """
     values = [[] for _ in range(len(item_index))]
     unknown = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["item", "value"]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .data import read_exact, write_json
+from .data import read_exact, read_item_id, write_json
 from .errors import FormatError, SingularMatrixError, SolverError
 from .linalg import gram, solve_general, invert, check_dense_budget
 
@@ -221,21 +221,13 @@ def itemknn_scores(X_user_rows, G):
     return np.asarray(X_user_rows @ np.asarray(G, dtype=np.float64))
 
 
-def predict(model, X_user_rows, mask_train=True, candidates=None):
-    """Scores = X_rows @ theta, with optional masking.
-
-    mask_train pins every training positive at -inf; candidates (item
-    columns) pins everything outside the pool at -inf.
-    """
+def predict(model, X_user_rows, mask_train=True):
+    """Scores = X_rows @ theta; mask_train pins every training positive at -inf."""
     X_user_rows = sp.csr_matrix(X_user_rows)
     scores = np.asarray(X_user_rows @ model.theta)
     if mask_train:
         r, c = X_user_rows.nonzero()
         scores[r, c] = -np.inf
-    if candidates is not None:
-        keep = np.zeros(scores.shape[1], dtype=bool)
-        keep[np.asarray(candidates)] = True
-        scores[:, ~keep] = -np.inf
     return scores
 
 
@@ -251,17 +243,10 @@ def random_scores(n_users, n_items, seed=0):
 
 
 def _topk_columns(theta, k):
-    n = theta.shape[1]
-    k = min(k, n)
-    idx = np.empty((n, k), dtype=np.uint32)
-    vals = np.empty((n, k))
-    for j in range(n):
-        col = theta[:, j]
-        order = np.lexsort((np.arange(n), -np.abs(col)))[:k]
-        order = np.sort(order)
-        idx[j] = order
-        vals[j] = col[order]
-    return idx, vals
+    """Each column's k largest-magnitude rows, in row order, and their values;
+    one output row per column. A stable sort breaks ties toward the lower row."""
+    rows = np.sort(np.argsort(-np.abs(theta), axis=0, kind="stable")[:k], axis=0)
+    return rows.T.astype(np.uint32), np.take_along_axis(theta, rows, axis=0).T
 
 
 def save_model(model, path, top_k=None):
@@ -317,13 +302,7 @@ def load_model(path, memory_budget=None):
         mode, n = struct.unpack("<IQ", read_exact(fh, 12, path))
         check_dense_budget(n, n, memory_budget, what="model matrix")
         (has_ids,) = struct.unpack("<B", read_exact(fh, 1, path))
-        item_ids = None
-        if has_ids:
-            ids = []
-            for _ in range(n):
-                (ln,) = struct.unpack("<H", read_exact(fh, 2, path))
-                ids.append(read_exact(fh, ln, path).decode("utf-8"))
-            item_ids = tuple(ids)
+        item_ids = tuple(read_item_id(fh, path) for _ in range(n)) if has_ids else None
         if mode == 0:
             raw = read_exact(fh, 8 * n * n, path)
             theta = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()

@@ -163,6 +163,7 @@ def test_main_workers_flag_beats_env(planted_config, monkeypatch, capsys):
     pytest.param(lambda raw: raw[:10], id="truncated-header"),
     pytest.param(lambda raw: raw[:-8], id="truncated-theta"),
     pytest.param(lambda raw: raw + b"\0", id="trailing-bytes"),
+    pytest.param(lambda raw: raw.replace(b"i00001", b"i\xff0001", 1), id="non-utf8-item-id"),
 ])
 def test_main_evaluate_corrupt_model_is_a_data_error(planted_config, capsys, corrupt):
     path = planted_config()
@@ -199,6 +200,14 @@ def _edit_lines(path, edit):
         fh.write("\n".join(edit(lines)) + "\n")
 
 
+def _unused_negative(lines):
+    """A negatives.csv row for the first user, with an item not yet among its negatives."""
+    user = lines[1].split(",")[0]
+    taken = {line.split(",")[1] for line in lines[1:] if line.split(",")[0] == user}
+    item = min({line.split(",")[1] for line in lines[1:]} - taken)
+    return f"{user},{item}"
+
+
 @pytest.mark.parametrize("protocol,name,edit,message", [
     pytest.param("cold", "train.csv",
                  lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",soon"] + lines[2:],
@@ -207,8 +216,12 @@ def _edit_lines(path, edit):
                  "val.csv:3: expected 3 fields, got 1", id="short-row"),
     pytest.param("cold", "test.csv", lambda lines: lines + ["nobody,i00000,1"],
                  "unknown user or item in ['nobody', 'i00000']", id="unknown-user"),
-    pytest.param("warm", "negatives.csv", lambda lines: lines + [lines[1]],
+    pytest.param("cold", "train.csv", lambda lines: lines[:2] + [lines[1]] + lines[2:],
+                 "train.csv:3: repeated pair", id="repeated-row"),
+    pytest.param("warm", "negatives.csv", lambda lines: lines + [_unused_negative(lines)],
                  "negatives file must hold 20 rows per user", id="extra-negative"),
+    pytest.param("warm", "negatives.csv", lambda lines: lines + [lines[1]],
+                 "repeated pair", id="repeated-negative"),
 ])
 def test_main_evaluate_corrupt_split_is_a_data_error(planted_config, capsys, caplog,
                                                      protocol, name, edit, message):
@@ -223,6 +236,8 @@ def test_main_evaluate_corrupt_split_is_a_data_error(planted_config, capsys, cap
 @pytest.mark.parametrize("suffix,corrupt,message", [
     pytest.param(".tsv", lambda raw: raw.replace(b"\t0.5,", b"\t0.5,abc,", 1),
                  "bad embedding value", id="text-bad-float"),
+    pytest.param(".tsv", lambda raw: raw.replace(b"i00000", b"i\xff0000", 1),
+                 "not UTF-8", id="text-bad-id"),
     pytest.param(".bin", lambda raw: raw.replace(b"i00000", b"i\xff0000", 1),
                  "is not UTF-8", id="binary-bad-id"),
     pytest.param(".bin", lambda raw: raw[:12], "truncated", id="binary-truncated-header"),
@@ -245,3 +260,32 @@ def test_main_featurize_corrupt_embeddings_is_a_data_error(planted_config, caplo
         yaml.safe_dump(cfg, fh)
     assert main(["featurize", "--config", path]) == EXIT_DATA
     assert message in caplog.text
+
+
+@pytest.mark.parametrize("prepare,verb,target,old", [
+    pytest.param(None, "split", "data/interactions.csv", b"u00001", id="interactions"),
+    pytest.param(None, "featurize", "data/topic.csv", b"t01", id="metadata-csv"),
+    pytest.param("split", "evaluate", "out/splits/train.csv", b"u00001", id="split-csv"),
+])
+def test_main_non_utf8_data_is_a_data_error(planted_config, capsys, caplog,
+                                            prepare, verb, target, old):
+    path = planted_config()
+    if prepare:
+        assert main([prepare, "--config", path]) == EXIT_OK
+    target = os.path.join(os.path.dirname(path), target)
+    with open(target, "rb") as fh:
+        raw = fh.read()
+    assert old in raw
+    with open(target, "wb") as fh:
+        fh.write(raw.replace(old, old[:1] + b"\xff" + old[2:], 1))
+    assert main([verb, "--config", path]) == EXIT_DATA
+    assert "not UTF-8" in caplog.text and os.path.basename(target) in caplog.text
+    capsys.readouterr()
+
+
+def test_main_non_utf8_config_is_a_config_error(planted_config, caplog):
+    path = planted_config()
+    with open(path, "ab") as fh:
+        fh.write(b"# \xff\n")
+    assert main(["run", "--config", path]) == EXIT_CONFIG
+    assert "not valid YAML" in caplog.text

@@ -5,6 +5,8 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignrec import (
     ColdSplit,
@@ -112,6 +114,60 @@ def test_all_users_empty_is_an_error():
     empty = [RankedList(user=0, ranked=np.array([1]), relevant=np.array([], dtype=np.int64))]
     with pytest.raises(ValueError, match="nonempty relevant"):
         ndcg_at_k(empty, 1)
+
+
+def _reference_metrics(rl, k):
+    """hr@k and ndcg@k of one list, one list at a time (the direct path)."""
+    ranks = np.flatnonzero(np.isin(rl.ranked, rl.relevant)) + 1
+    hit = ranks[ranks <= k]
+    depth = min(k, len(rl.relevant))
+    dcg = float(np.sum(1.0 / np.log2(1.0 + hit)))
+    idcg = float(np.sum(1.0 / np.log2(1.0 + np.arange(1, depth + 1))))
+    return len(hit) / depth, dcg / idcg
+
+
+@st.composite
+def ranked_lists(draw):
+    """Lists over pools of up to 40 items, with relevant sets that may be
+    empty, reach past the pool, or fill most of it (8+ hits within k)."""
+    lists = []
+    for user in range(draw(st.integers(1, 12))):
+        pool = draw(st.permutations(range(draw(st.integers(1, 40)))))
+        relevant = draw(st.lists(st.integers(0, 45), max_size=40, unique=True))
+        lists.append(RankedList(user=user, ranked=np.array(pool, dtype=np.int64),
+                                relevant=np.array(relevant, dtype=np.int64)))
+    return lists
+
+
+@settings(max_examples=100, deadline=None)
+@given(lists=ranked_lists(), k=st.integers(1, 30))
+def test_metrics_over_the_hit_rank_table_equal_the_per_list_path(lists, k):
+    kept = [rl for rl in lists if len(rl.relevant)]
+    if not kept:
+        return
+    ref = np.array([_reference_metrics(rl, k) for rl in kept])
+    for res, col in ((hr_at_k(lists, k), 0), (ndcg_at_k(lists, k), 1)):
+        assert res.users.tolist() == [rl.user for rl in kept]
+        # exact: the table sums each user's discounts like the per-list np.sum
+        assert res.per_user.tolist() == ref[:, col].tolist()
+
+
+def test_evaluate_scenario_warns_once_per_call_not_per_metric(cold_split, caplog,
+                                                              monkeypatch):
+    import alignrec.evaluation as evaluation
+
+    build = evaluation.build_ranked_lists
+
+    def with_an_empty_user(*args, **kwargs):
+        return build(*args, **kwargs) + [
+            RankedList(user=3, ranked=np.array([4, 5]), relevant=np.array([], dtype=np.int64))]
+
+    monkeypatch.setattr(evaluation, "build_ranked_lists", with_an_empty_user)
+    scores = np.random.default_rng(2).random((4, 6))
+    with caplog.at_level(logging.WARNING):
+        rep = evaluate_scenario(scores, cold_split, "cold", ks=(1, 2), with_ci=False)
+    assert rep.n_users == 2
+    assert caplog.text.count("have no relevant items") == 1
 
 
 # --------------------------------------------------------------- bootstrap

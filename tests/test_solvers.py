@@ -248,14 +248,6 @@ def test_predict_masks_training_positives():
     assert unmasked[0, 0] == 0.0
 
 
-def test_predict_restricts_to_candidates():
-    model = ItemModel(theta=np.eye(3), solver="ease")
-    X = sp.csr_matrix(np.array([[1.0, 1.0, 0.0]]))
-    scores = predict(model, X, mask_train=False, candidates=[0, 2])
-    assert scores[0, 1] == -np.inf
-    assert scores[0, 0] == 1.0 and scores[0, 2] == 0.0
-
-
 def test_popularity_scores_tile_column_counts():
     X = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]]))
     np.testing.assert_allclose(popularity_scores(X), np.tile([3.0, 1.0], (3, 1)))
@@ -310,6 +302,23 @@ def test_model_top_k_keeps_largest_magnitudes(tmp_path):
         expected[keep, j] = theta[keep, j]
     np.testing.assert_array_equal(back.theta, expected)
     assert back.solver == "mslim"
+
+
+@pytest.mark.parametrize("k,digest", [
+    (1, "419a98a2a06378eb844b9c4e65f428b840259b651b2ce4bf56f71cf8d7401817"),
+    (7, "a561d613b0b5f1fda2de93d2f001245d51ecf50f6018fc74634c66fadee3e5e8"),
+    (50, "f01d49f2d0f9f7575ac0852b063a494f1e59c46f31c558bb09a5ba1e8443bad7"),
+])
+def test_model_top_k_bytes_are_pinned_with_tied_magnitudes(tmp_path, k, digest):
+    import hashlib
+
+    # small integers with random signs tie magnitudes within every column;
+    # the digests pin each column's order by (-|theta|, row)
+    theta = np.random.default_rng(12).integers(-3, 4, size=(40, 40)).astype(np.float64)
+    model = ItemModel(theta=theta, solver="mslim", item_ids=tuple(f"i{j}" for j in range(40)))
+    path = tmp_path / "model.bin"
+    save_model(model, str(path), top_k=k)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_model_save_is_byte_deterministic(tmp_path, fitted):
