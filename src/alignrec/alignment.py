@@ -106,7 +106,7 @@ def default_mix(n_attributes):
     )
 
 
-def smoothed_cosine(Z, delta=0.0, memory_budget=None):
+def smoothed_cosine(Z, delta=0.0):
     """Item-item cosine similarity with an additive denominator constant.
 
     G_ij = (z_i . z_j) / (||z_i|| ||z_j|| + delta). The delta term shrinks
@@ -117,7 +117,7 @@ def smoothed_cosine(Z, delta=0.0, memory_budget=None):
         raise ValueError(f"delta must be >= 0, got {delta}")
     m = getattr(Z, "matrix", Z)
     n = m.shape[0]
-    check_dense_budget(n, n, memory_budget, what="similarity matrix")
+    check_dense_budget(n, n, what="similarity matrix")
     if sp.issparse(m):
         inner = (m @ m.T).toarray()
         norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
@@ -220,17 +220,16 @@ class AlignmentMatrix:
     def shape(self):
         return (self.X.shape[0], self.G.shape[1])
 
-    def materialize(self, memory_budget=None):
-        check_dense_budget(self.X.shape[0], self.G.shape[1], memory_budget,
-                           what="alignment matrix")
+    def materialize(self):
+        check_dense_budget(*self.shape, what="alignment matrix")
         if self.alpha == 0.0:
             return np.zeros(self.shape)
         return self.alpha * np.asarray(self.X @ self.G) * self.d[None, :]
 
-    def xtb(self, memory_budget=None):
+    def xtb(self):
         """X^T B as a dense items x items matrix."""
         n = self.G.shape[1]
-        check_dense_budget(n, n, memory_budget, what="X^T B")
+        check_dense_budget(n, n, what="X^T B")
         if self.alpha == 0.0:
             return np.zeros((n, n))
         xtx_g = (self.X.T @ (self.X @ self.G))

@@ -353,6 +353,15 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+def read_json(path):
+    """Read a JSON file; text that is not JSON (or not UTF-8) raises FormatError."""
+    with open_utf8(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}: not valid JSON ({e})") from None
+
+
 def read_exact(fh, size, path):
     """Read exactly ``size`` bytes from binary ``fh``; FormatError if it ends early."""
     raw = fh.read(size)
@@ -455,8 +464,7 @@ def _read_pairs_csv(path, umap, imap):
 
 def load_split(dirpath):
     """Load a persisted split directory; returns ColdSplit or WarmSplit."""
-    with open(os.path.join(dirpath, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(os.path.join(dirpath, "manifest.json"))
     user_ids = tuple(manifest["user_ids"])
     item_ids = tuple(manifest["item_ids"])
     umap = {u: i for i, u in enumerate(user_ids)}

@@ -1,20 +1,21 @@
 """Config-driven experiment pipeline.
 
 One YAML config fully determines a run: load -> split -> featurize ->
-pick mix coefficients on validation -> grid-search solver hyperparameters
-on validation -> refit the winner -> evaluate test scenarios -> write
-reports, model artifact, and a run manifest. Reruns with the same config
-and seed are byte-identical except for recorded wall times (the grid
-trace and the model sidecar carry timings by design).
+pick mix coefficients on validation -> fit and score each solver grid
+point once on validation -> refit the winner (cold: adopt its model;
+warm: fit it on the outer training matrix) -> evaluate test scenarios ->
+write reports, model artifact, and a run manifest. Reruns with the same
+config and seed are byte-identical except for recorded wall times (the
+grid trace and the model sidecar carry timings by design).
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import json
 import logging
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
@@ -172,26 +173,34 @@ def build_grid(solver_cfg):
 
 
 def grid_search(points, evaluate_point, workers=1):
-    """Evaluate every grid point and pick the best on validation.
+    """Fit and score every grid point; returns (point, index, trace, fitted).
 
-    evaluate_point(point) must return {"ndcg@10": ..., "hr@10": ...}.
-    Selection maximizes (ndcg@10, hr@10) lexicographically; exact ties go
-    to the earlier point. Points that raise a numerical error are recorded
-    as failed and skipped; if everything fails, the errors are aggregated.
+    evaluate_point(point) must return (metrics, fitted), metrics holding
+    ndcg@10 and hr@10. Selection maximizes (ndcg@10, hr@10), then the
+    earlier index, in any finish order; only the running best's fitted is
+    kept. Points that raise a numerical error are recorded as failed and
+    skipped; if everything fails, the errors are aggregated.
     """
     points = list(points)
     if not points:
         raise ConfigError("empty hyperparameter grid")
+    best = {}
+    lock = threading.Lock()
 
     def run_one(idx):
         t0 = time.perf_counter()
         row = {"index": idx, "params": points[idx], "wall_time_s": None,
                "status": "ok", "error": "", "metrics": {}}
         try:
-            row["metrics"] = evaluate_point(points[idx])
+            row["metrics"], fitted = evaluate_point(points[idx])
         except (SolverError, SingularMatrixError, np.linalg.LinAlgError) as e:
             row["status"] = "failed"
             row["error"] = str(e)
+        else:
+            key = (row["metrics"]["ndcg@10"], row["metrics"]["hr@10"], -idx)
+            with lock:
+                if not best or key > best["key"]:
+                    best.update(key=key, index=idx, fitted=fitted)
         row["wall_time_s"] = time.perf_counter() - t0
         return row
 
@@ -200,18 +209,10 @@ def grid_search(points, evaluate_point, workers=1):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             trace = list(pool.map(run_one, range(len(points))))
-
-    best = None
-    for row in trace:
-        if row["status"] != "ok":
-            continue
-        key = (row["metrics"]["ndcg@10"], row["metrics"]["hr@10"])
-        if best is None or key > best[0]:
-            best = (key, row["index"])
-    if best is None:
+    if not best:
         details = "; ".join(f"point {r['index']} {r['params']}: {r['error']}" for r in trace)
         raise SolverError(f"every grid point failed: {details}")
-    return points[best[1]], best[1], trace
+    return points[best["index"]], best["index"], trace, best["fitted"]
 
 
 def write_trace_csv(trace, path):
@@ -348,8 +349,8 @@ class _Pipeline:
         self.G = alignment.mix_similarities(self.sims, self.mu)
 
     def grid_search(self):
-        # the module-level grid_search, not this method
-        self.best_point, self.best_index, self.trace = grid_search(
+        # the module-level grid_search; its model is None under the warm protocol
+        self.best_point, self.best_index, self.trace, self.model = grid_search(
             build_grid(self.cfg["solver"]), self._validation_metrics,
             workers=self.workers,
         )
@@ -358,7 +359,8 @@ class _Pipeline:
         write_trace_csv(self.trace, os.path.join(self.output, "grid_trace.csv"))
 
     def refit(self):
-        self.model = self._fit_point(self.split_.train.X, self.d, self.best_point)
+        if self.model is None:  # warm protocol: the grid fitted the nested split
+            self.model = self._fit_point(self.split_.train.X, self.d, self.best_point)
         self.model.item_ids = self.dataset.item_ids
 
     def persist_model(self):
@@ -429,23 +431,18 @@ class _Pipeline:
                 diagnostics={"n_items": int(X.shape[1]), "n_users": int(X.shape[0])},
             )
         B = alignment.align(X, self.G, acfg, d=d)
+        keys = {k: v for k, v in point.items() if k != "alpha"}
+        # looked up per call, so a wrapper set on the module after import sees every fit
         if name == "ease":
-            cfg = solvers.EaseConfig(
-                lambda0=point.get("lambda0", 0.0),
-                lambda1=point.get("lambda1", 1.0),
-            )
-            return solvers.fit_ease(X, cfg, F=self.features, B=B)
-        cfg = solvers.MslimConfig(
-            w1=point.get("w1", 0.5),
-            lambda1=point.get("lambda1", 0.0),
-            gamma1=point.get("gamma1", 0.0),
-        )
-        return solvers.fit_mslim(X, cfg, B=B, workers=1)
+            return solvers.fit_ease(X, solvers.EaseConfig(**keys), F=self.features, B=B)
+        return solvers.fit_mslim(X, solvers.MslimConfig(**keys), B=B)
 
     def _validation_metrics(self, point):
+        """(metrics, model) of one grid point; the model only if fitted on the run's split."""
         X = self.val.train.X
-        scores = solvers.predict(self._fit_point(X, self.val_d, point), X)
-        return evaluation.validation_metrics(scores, self.val, _SELECT_K)
+        model = self._fit_point(X, self.val_d, point)
+        metrics = evaluation.validation_metrics(solvers.predict(model, X), self.val, _SELECT_K)
+        return metrics, model if self.val is self.split_ else None
 
 
 def _run(verb, config_path, seed=None, workers=None, output=None):
@@ -509,10 +506,7 @@ def compare_reports(paths):
     With exactly two reports the last row shows the percent change of the
     second over the first, per metric column.
     """
-    rows = []
-    for p in paths:
-        with open(p, "r", encoding="utf-8") as fh:
-            rows.append((p, json.load(fh)))
+    rows = [(p, data.read_json(p)) for p in paths]
     if not rows:
         raise ValueError("no reports given")
     columns = [(m["name"], m["k"]) for m in rows[0][1]["metrics"]]

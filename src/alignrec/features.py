@@ -8,7 +8,6 @@ dropped, so block shapes always agree.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import os
 import re
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .data import open_utf8, read_exact, read_item_id, write_json
+from .data import open_utf8, read_exact, read_item_id, read_json, write_json
 from .errors import FormatError
 
 log = logging.getLogger(__name__)
@@ -292,8 +291,7 @@ def save_block(block, prefix):
 
 
 def load_block(prefix):
-    with open(prefix + ".json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json(prefix + ".json")
     shape = tuple(meta["shape"])
     if meta["kind"] == "sparse":
         m = sp.csr_matrix(

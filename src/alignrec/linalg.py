@@ -26,14 +26,13 @@ DEFAULT_MEMORY_BUDGET = 16 * 2**30
 RCOND_FLOOR = 1e-12
 
 
-def check_dense_budget(rows, cols, memory_budget=None, what="matrix"):
+def check_dense_budget(rows, cols, what="matrix"):
     """Raise CapacityError if a rows x cols float64 array exceeds the budget."""
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     nbytes = int(rows) * int(cols) * 8
-    if nbytes > budget:
+    if nbytes > DEFAULT_MEMORY_BUDGET:
         raise CapacityError(
             f"dense {what} of shape ({rows}, {cols}) needs {nbytes} bytes, "
-            f"exceeding the {budget}-byte memory budget"
+            f"exceeding the {DEFAULT_MEMORY_BUDGET}-byte memory budget"
         )
 
 
@@ -42,7 +41,7 @@ def _symmetrize(c):
     return 0.5 * (c + c.T)
 
 
-def gram(a, memory_budget=None):
+def gram(a):
     """Compute ``A^T A`` as a dense symmetric float64 matrix.
 
     Parameters
@@ -55,7 +54,7 @@ def gram(a, memory_budget=None):
     """
     if a.shape[0] == 0 or a.shape[1] == 0:
         raise ValueError(f"gram requires a nonempty matrix, got shape {a.shape}")
-    check_dense_budget(a.shape[1], a.shape[1], memory_budget, what="Gram matrix")
+    check_dense_budget(a.shape[1], a.shape[1], what="Gram matrix")
     if sp.issparse(a):
         c = (a.T @ a).toarray().astype(np.float64, copy=False)
     else:

@@ -14,7 +14,6 @@ general pivoted factorization.
 
 from __future__ import annotations
 
-import json
 import logging
 import struct
 import time
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .data import read_exact, read_item_id, write_json
+from .data import read_exact, read_item_id, read_json, write_json
 from .errors import FormatError, SingularMatrixError, SolverError
 from .linalg import gram, solve_general, invert, check_dense_budget
 
@@ -87,7 +86,7 @@ def _feature_item_gram(F):
     return m @ m.T
 
 
-def fit_ease(X, cfg, F=None, B=None, memory_budget=None):
+def fit_ease(X, cfg, F=None, B=None):
     """Closed-form aligned EASE fit.
 
     Inverts M = X^T X + lambda0 FF^T + lambda1 I + X^T B once, forms the
@@ -99,11 +98,11 @@ def fit_ease(X, cfg, F=None, B=None, memory_budget=None):
     t0 = time.perf_counter()
     X = sp.csr_matrix(X)
     n = X.shape[1]
-    m = gram(X, memory_budget=memory_budget) + cfg.lambda1 * np.eye(n)
+    m = gram(X) + cfg.lambda1 * np.eye(n)
     if cfg.lambda0 > 0 and F is not None:
         m += cfg.lambda0 * _feature_item_gram(F)
     if B is not None:
-        m += B.xtb(memory_budget=memory_budget)
+        m += B.xtb()
     try:
         p = invert(m)
     except SingularMatrixError as e:
@@ -117,8 +116,9 @@ def fit_ease(X, cfg, F=None, B=None, memory_budget=None):
             f"degenerate items {degenerate.tolist()}: zero diagonal in the inverse",
             columns=degenerate.tolist(),
         )
-    theta_tilde = np.eye(n) - cfg.lambda1 * p
-    theta = theta_tilde - p * (np.diag(theta_tilde) / dp)[None, :]
+    # the correction is applied in place: one n x n buffer fewer at peak
+    theta = np.eye(n) - cfg.lambda1 * p
+    theta -= p * (np.diag(theta) / dp)[None, :]
     diag_residual = float(np.abs(np.diag(theta)).max())
     np.fill_diagonal(theta, 0.0)
 
@@ -157,7 +157,7 @@ def _mslim_columns(cols, base, Xcsr, Xcsc, Bd, cfg, theta, failures):
             failures.append((i, str(e)))
 
 
-def fit_mslim(X, cfg, B=None, workers=1, memory_budget=None):
+def fit_mslim(X, cfg, B=None, workers=1):
     """Per-column weighted ridge fit (modified SLIM).
 
     Column i solves (X^T W_i X + X^T W_i B + lambda1 I + Gamma_i) t =
@@ -171,11 +171,11 @@ def fit_mslim(X, cfg, B=None, workers=1, memory_budget=None):
     Xcsr = sp.csr_matrix(X)
     Xcsc = Xcsr.tocsc()
     n = Xcsr.shape[1]
-    g = gram(Xcsr, memory_budget=memory_budget)
+    g = gram(Xcsr)
     Bd = None
     xtb = 0.0
     if B is not None and B.alpha != 0.0:
-        Bd = B.materialize(memory_budget=memory_budget)
+        Bd = B.materialize()
         xtb = np.asarray(Xcsr.T @ Bd)
     base = np.ascontiguousarray(cfg.w1 * (g + xtb))
 
@@ -221,13 +221,11 @@ def itemknn_scores(X_user_rows, G):
     return np.asarray(X_user_rows @ np.asarray(G, dtype=np.float64))
 
 
-def predict(model, X_user_rows, mask_train=True):
-    """Scores = X_rows @ theta; mask_train pins every training positive at -inf."""
+def predict(model, X_user_rows):
+    """Scores = X_rows @ theta, with every training positive pinned at -inf."""
     X_user_rows = sp.csr_matrix(X_user_rows)
     scores = np.asarray(X_user_rows @ model.theta)
-    if mask_train:
-        r, c = X_user_rows.nonzero()
-        scores[r, c] = -np.inf
+    scores[X_user_rows.nonzero()] = -np.inf
     return scores
 
 
@@ -287,20 +285,19 @@ def save_model(model, path, top_k=None):
     write_json(path + ".json", sidecar)
 
 
-def load_model(path, memory_budget=None):
+def load_model(path):
     """Read a model written by save_model.
 
-    A bad magic, a file that ends early, or bytes past the last column
-    raise FormatError.
+    A sidecar that is not JSON, a bad magic, a file that ends early, or
+    bytes past the last column raise FormatError.
     """
-    with open(path + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    sidecar = read_json(path + ".json")
     with open(path, "rb") as fh:
         magic = fh.read(len(MODEL_MAGIC))
         if magic != MODEL_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}, not a model file")
         mode, n = struct.unpack("<IQ", read_exact(fh, 12, path))
-        check_dense_budget(n, n, memory_budget, what="model matrix")
+        check_dense_budget(n, n, what="model matrix")
         (has_ids,) = struct.unpack("<B", read_exact(fh, 1, path))
         item_ids = tuple(read_item_id(fh, path) for _ in range(n)) if has_ids else None
         if mode == 0:

@@ -69,3 +69,8 @@ def test_traced_sample_reports_every_per_layer_metric(tmp_path, name):
     metrics = tracer.layer_metrics(rec["spans"], set(rec["installed"]),
                                    set(rec["probe_failed"]))
     assert sorted(_per_layer_names() - set(metrics)) == []
+    if name == "cold-mslim":
+        # one LU per item column per grid point: the cold refit adopts the
+        # grid's winner instead of fitting it again
+        points = metrics["experiment.grid_points"]
+        assert metrics["linalg.factor.calls"] == data["n_items"] * points == 50

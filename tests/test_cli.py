@@ -176,6 +176,31 @@ def test_main_evaluate_corrupt_model_is_a_data_error(planted_config, capsys, cor
     assert main(["evaluate", "--config", path]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("target,stage", [
+    pytest.param("splits/manifest.json", "load-split", id="split-manifest"),
+    pytest.param("model.bin.json", "load-model", id="model-sidecar"),
+])
+def test_main_evaluate_truncated_json_is_a_data_error(planted_config, capsys, caplog,
+                                                      target, stage):
+    path = planted_config()
+    assert main(["fit", "--config", path]) == EXIT_OK
+    target = os.path.join(capsys.readouterr().out.strip(), target)
+    with open(target, "rb") as fh:
+        raw = fh.read()
+    with open(target, "wb") as fh:
+        fh.write(raw[: len(raw) // 2])
+    assert main(["evaluate", "--config", path]) == EXIT_DATA
+    assert f"stage '{stage}' failed" in caplog.text
+    assert f"{target}: not valid JSON" in caplog.text
+
+
+def test_main_report_truncated_json_is_a_data_error(tmp_path, caplog):
+    report = tmp_path / "report_cold.json"
+    report.write_text('{"metrics": [', encoding="utf-8")
+    assert main(["report", str(report)]) == EXIT_DATA
+    assert f"{report}: not valid JSON" in caplog.text
+
+
 def test_main_verbs_without_workers_ignore_workers_env(planted_config, monkeypatch, capsys):
     path = planted_config()
     assert main(["fit", "--config", path]) == EXIT_OK

@@ -6,13 +6,15 @@ import json
 import logging
 import os
 import re
+import time
+import weakref
 
 import numpy as np
 import pytest
 import yaml
 
 from alignrec import ConfigError, SolverError, grid_search, load_config, run_experiment
-from alignrec import data, evaluation
+from alignrec import data, evaluation, solvers
 from alignrec.errors import StageError
 from alignrec.experiment import (
     VERB_STAGES,
@@ -194,6 +196,18 @@ def test_build_grid_preserves_declaration_order():
     assert build_grid({"grid": {}}) == [{}]
 
 
+class _Fit:
+    """Stand-in for a fitted model: identity-comparable and weakly referenceable."""
+
+    def __init__(self, index):
+        self.index = index
+
+
+def _scored(table):
+    """evaluate_point returning table[x] as metrics and a fresh _Fit."""
+    return lambda p: (table[p["x"]], _Fit(p["x"]))
+
+
 def test_grid_search_picks_lexicographic_best():
     points = [{"x": 0}, {"x": 1}, {"x": 2}]
     metrics = {
@@ -201,28 +215,61 @@ def test_grid_search_picks_lexicographic_best():
         1: {"ndcg@10": 0.7, "hr@10": 0.1},
         2: {"ndcg@10": 0.7, "hr@10": 0.2},
     }
-    best, idx, trace = grid_search(points, lambda p: metrics[p["x"]])
+    best, idx, trace, fitted = grid_search(points, _scored(metrics))
     assert idx == 2 and best == {"x": 2}
+    assert fitted.index == 2
     assert [row["status"] for row in trace] == ["ok"] * 3
+    # trace rows hold no fitted objects
+    assert all(set(row) == {"index", "params", "wall_time_s", "status", "error", "metrics"}
+               for row in trace)
 
 
 def test_grid_search_exact_tie_keeps_earlier_point():
     points = [{"x": 0}, {"x": 1}]
-    best, idx, _ = grid_search(points, lambda p: {"ndcg@10": 0.5, "hr@10": 0.5})
-    assert idx == 0
+    best, idx, _, fitted = grid_search(points, _scored([{"ndcg@10": 0.5, "hr@10": 0.5}] * 2))
+    assert idx == 0 and fitted.index == 0
 
 
 def test_grid_search_records_and_skips_failures():
     def evaluate(point):
         if point["x"] == 0:
             raise SolverError("synthetic failure")
-        return {"ndcg@10": 0.4, "hr@10": 0.4}
+        return {"ndcg@10": 0.4, "hr@10": 0.4}, _Fit(point["x"])
 
-    best, idx, trace = grid_search([{"x": 0}, {"x": 1}], evaluate)
-    assert idx == 1
+    best, idx, trace, fitted = grid_search([{"x": 0}, {"x": 1}], evaluate)
+    assert idx == 1 and fitted.index == 1
     assert trace[0]["status"] == "failed"
     assert "synthetic failure" in trace[0]["error"]
     assert trace[1]["status"] == "ok"
+
+
+def test_grid_search_never_returns_a_failed_point():
+    # a failure after the running best leaves that best and its fit in place
+    def evaluate(point):
+        if point["x"] == 2:
+            raise SolverError("synthetic failure")
+        return {"ndcg@10": 0.1 * point["x"], "hr@10": 0.0}, _Fit(point["x"])
+
+    _, idx, trace, fitted = grid_search([{"x": i} for i in range(3)], evaluate)
+    assert idx == 1 and fitted.index == 1
+    assert [row["status"] for row in trace] == ["ok", "ok", "failed"]
+
+
+def test_grid_search_keeps_no_losing_fit_alive():
+    ndcg = [0.5, 0.9, 0.1, 0.2]
+    refs = []
+
+    def evaluate(p):
+        # while point x runs, only the best fit among points < x is alive
+        earlier = range(p["x"])
+        alive = [i for i, ref in enumerate(refs) if ref() is not None]
+        assert alive == ([max(earlier, key=ndcg.__getitem__)] if earlier else [])
+        fit = _Fit(p["x"])
+        refs.append(weakref.ref(fit))
+        return {"ndcg@10": ndcg[p["x"]], "hr@10": 0.0}, fit
+
+    *_, fitted = grid_search([{"x": i} for i in range(4)], evaluate)
+    assert refs[1]() is fitted
 
 
 def test_grid_search_aggregates_total_failure():
@@ -235,18 +282,22 @@ def test_grid_search_aggregates_total_failure():
 
 def test_grid_search_rejects_empty_grid():
     with pytest.raises(ConfigError, match="empty"):
-        grid_search([], lambda p: {})
+        grid_search([], lambda p: ({}, None))
 
 
 def test_grid_search_worker_count_does_not_change_selection():
     points = [{"x": i} for i in range(6)]
+    ndcg = [0.3, 0.9, 0.2, 0.9, 0.1, 0.5]
 
     def evaluate(p):
-        return {"ndcg@10": [0.3, 0.9, 0.2, 0.9, 0.1, 0.5][p["x"]], "hr@10": 0.0}
+        if p["x"] == 1:
+            time.sleep(0.05)  # the tied later point 3 finishes first under workers
+        return {"ndcg@10": ndcg[p["x"]], "hr@10": 0.0}, _Fit(p["x"])
 
     a = grid_search(points, evaluate, workers=1)
     b = grid_search(points, evaluate, workers=3)
     assert a[1] == b[1] == 1
+    assert a[0] == b[0] and a[3].index == b[3].index == 1
     assert [r["metrics"] for r in a[2]] == [r["metrics"] for r in b[2]]
 
 
@@ -360,6 +411,45 @@ def test_warm_run_is_byte_identical_across_worker_counts(planted_config, tmp_pat
     four = _artifacts(run_experiment(config, output=str(tmp_path / "four"), workers=4))
     assert "report_leave_one_out.json" in one and "INCOMPLETE" not in one
     assert one == four
+
+
+def _count_fits(monkeypatch, solver):
+    """Wrap solvers.fit_<solver> on the module; returns the list of fitted models."""
+    name = f"fit_{solver}"
+    fit, fits = getattr(solvers, name), []
+
+    def spy(*args, **kwargs):
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(solvers, name, spy)
+    return fits
+
+
+@pytest.mark.parametrize("solver,grid", [
+    ("ease", {"lambda1": [0.5, 2.0, 8.0]}),
+    ("mslim", {"lambda1": [0.5, 2.0, 8.0], "w1": [0.5]}),
+])
+def test_cold_run_fits_each_grid_point_once(planted_config, monkeypatch, solver, grid):
+    config = planted_config(solver=solver, grid=grid)
+    fits = _count_fits(monkeypatch, solver)
+    outdir = run_experiment(config)
+    assert len(fits) == 3
+    # model.bin holds, bit for bit, a direct fit of the selected point
+    with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as fh:
+        selected = json.load(fh)["selected"]
+    pipe = _Pipeline(load_config(config))
+    for stage in ("load", "split", "featurize", "fit-mix"):
+        pipe._stage(stage)
+    direct = pipe._fit_point(pipe.split_.train.X, pipe.d, selected)
+    assert np.array_equal(load_model(os.path.join(outdir, "model.bin")).theta, direct.theta)
+
+
+def test_warm_run_refits_the_winner_once(planted_config, monkeypatch):
+    config = planted_config(protocol="warm", negatives=20, grid={"lambda1": [0.5, 2.0, 8.0]})
+    fits = _count_fits(monkeypatch, "ease")
+    run_experiment(config)
+    assert len(fits) == 3 + 1
 
 
 def test_selection_scores_all_pool_without_cold_validation_pairs(planted_config,

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from alignrec import CapacityError, SingularMatrixError, gram, solve_general
+from alignrec import linalg
 from alignrec.linalg import check_dense_budget, invert
 
 
@@ -32,15 +33,17 @@ def test_gram_rejects_empty():
         gram(np.zeros((0, 3)))
 
 
-def test_gram_enforces_memory_budget():
+def test_gram_enforces_memory_budget(monkeypatch):
+    monkeypatch.setattr(linalg, "DEFAULT_MEMORY_BUDGET", 128)
     with pytest.raises(CapacityError, match="memory budget"):
-        gram(np.ones((4, 10)), memory_budget=128)
+        gram(np.ones((4, 10)))
 
 
-def test_check_dense_budget_counts_bytes():
-    check_dense_budget(4, 4, memory_budget=128)  # exactly at the budget
+def test_check_dense_budget_counts_bytes(monkeypatch):
+    monkeypatch.setattr(linalg, "DEFAULT_MEMORY_BUDGET", 128)
+    check_dense_budget(4, 4)  # exactly at the budget
     with pytest.raises(CapacityError):
-        check_dense_budget(4, 5, memory_budget=128)
+        check_dense_budget(4, 5)
 
 
 def test_solve_general_small_residual_on_conditioned_systems():

@@ -1,5 +1,7 @@
 """Closed-form solvers, baselines, and model persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -131,6 +133,21 @@ def test_ease_feature_term_matches_manual_assembly():
     np.testing.assert_allclose(model.theta, theta, atol=1e-9)
 
 
+def test_ease_theta_bytes_are_pinned():
+    # Guards the in-place diagonal correction. The digest is of the theta the
+    # out-of-place form (theta_tilde = I - lambda1 P, then theta = theta_tilde -
+    # P diag(theta_tilde) / diag(P)) gave with numpy 2.4 on OpenBLAS 0.3.31; a
+    # different BLAS build may move the last bits and need a new digest.
+    rng = np.random.default_rng(21)
+    X = sp.csr_matrix((rng.random((30, 9)) < 0.35).astype(np.float64))
+    Z = rng.random((9, 4))
+    F = (rng.random((9, 5)) < 0.4).astype(np.float64)
+    B = align(X, Z @ Z.T, AlignmentConfig(alpha=0.7), d=np.linspace(0.0, 2.0, 9))
+    theta = fit_ease(X, EaseConfig(lambda0=0.3, lambda1=1.5), F=F, B=B).theta
+    digest = hashlib.sha256(np.ascontiguousarray(theta, dtype="<f8").tobytes()).hexdigest()
+    assert digest == "29b97af204d2c9e04503a15541496df41854cd7f0cf036e6ed00f11d17cb8313"
+
+
 def test_ease_reports_singular_system():
     X = sp.csr_matrix(np.array([[1.0]]))
     B = align(X, np.array([[-2.0]]), AlignmentConfig(alpha=1.0), d=np.ones(1))
@@ -244,8 +261,6 @@ def test_predict_masks_training_positives():
     scores = predict(model, X)
     assert scores[0, 0] == -np.inf
     assert scores[0, 1] == 1.0
-    unmasked = predict(model, X, mask_train=False)
-    assert unmasked[0, 0] == 0.0
 
 
 def test_popularity_scores_tile_column_counts():
