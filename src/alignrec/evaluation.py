@@ -4,6 +4,12 @@ hr@k is truncated recall: hits-in-top-k / min(k, |relevant|). ndcg@k
 discounts hits by 1/log2(1+rank) and normalizes by the ideal prefix sum
 over min(k, |relevant|) positions. Score ties always break toward the
 lower item index so reruns and reorderings reproduce the same tables.
+
+Each scenario ranks every user's full pool once (``build_ranked_lists``)
+and reduces the lists to one hit-rank table that every metric and k reads.
+The table is built from one vectorized membership test per chunk of
+``_HIT_CHUNK`` lists, keyed on (list, item), so its scratch memory is a few
+MB whatever the number of users.
 """
 
 from __future__ import annotations
@@ -44,27 +50,57 @@ class MetricResult:
 
 
 def rank_candidates(scores_row, candidates):
-    """Candidates in descending score order, ties toward lower item index."""
+    """Candidates in descending score order, ties toward lower item index.
+
+    Non-finite scores have a fixed place: +inf ranks before every finite
+    score, -inf (masked training positives) after every finite score, and
+    NaN after -inf; ties within each class go to the lower item index.
+    """
     candidates = np.asarray(candidates)
     s = np.asarray(scores_row)[candidates]
     order = np.lexsort((candidates, -s))
     return candidates[order]
 
 
+# lists per membership test in _hit_ranks: few enough that one chunk's int64
+# keys stay a few MB at any user count, many enough to amortize each test
+_HIT_CHUNK = 128
+
+
 def _hit_ranks(lists):
     """The table every metric and k of ``lists`` reduces over: per user with
     relevant items (the rest are excluded with one warning) the user, the
     relevant count, the hit count, and the sorted 1-based hit ranks,
-    concatenated user by user."""
+    concatenated user by user.
+
+    The hits of ``_HIT_CHUNK`` lists come from one ``np.isin`` over keys
+    ``owner * width + item``, so a ranked item matches only its own list's
+    relevant items; ``np.flatnonzero`` returns them in list order, ranks
+    ascending, exactly as one ``np.isin`` per list would.
+    """
     kept = [rl for rl in lists if len(rl.relevant) > 0]
     if len(kept) < len(lists):
         log.warning("%d users have no relevant items and are excluded",
                     len(lists) - len(kept))
     if not kept:
         raise ValueError("no users with a nonempty relevant set")
-    ranks = [np.flatnonzero(np.isin(rl.ranked, rl.relevant)) + 1 for rl in kept]
-    return (np.array([rl.user for rl in kept]), np.array([len(rl.relevant) for rl in kept]),
-            np.array([len(r) for r in ranks]), np.concatenate(ranks))
+    n_relevant = np.array([len(rl.relevant) for rl in kept])
+    n_hits, ranks = [], []
+    for lo in range(0, len(kept), _HIT_CHUNK):
+        chunk = kept[lo : lo + _HIT_CHUNK]
+        lengths = np.array([len(rl.ranked) for rl in chunk])
+        keys = np.concatenate([rl.ranked for rl in chunk]).astype(np.int64, copy=False)
+        relevant = np.concatenate([rl.relevant for rl in chunk]).astype(np.int64, copy=False)
+        width = int(max(keys.max(initial=0), relevant.max())) + 1
+        offsets = np.arange(len(chunk), dtype=np.int64) * width
+        keys += np.repeat(offsets, lengths)
+        relevant += np.repeat(offsets, n_relevant[lo : lo + len(chunk)])
+        hit = np.flatnonzero(np.isin(keys, relevant))
+        owner = keys[hit] // width
+        ranks.append(hit - (np.cumsum(lengths) - lengths)[owner] + 1)
+        n_hits.append(np.bincount(owner, minlength=len(chunk)))
+    return (np.array([rl.user for rl in kept]), n_relevant,
+            np.concatenate(n_hits), np.concatenate(ranks))
 
 
 def _metric(table, name, k):
@@ -189,8 +225,12 @@ def _pools(split, scenario, use):
 
 
 def build_ranked_lists(scores, split, scenario, use="test"):
-    """Rank every user's pool of one scenario; training positives score
-    -inf first, and ties break toward the lower item index."""
+    """Rank every user's pool of one scenario with ``rank_candidates``.
+
+    Training positives are masked to -inf first, so they and any -inf score
+    rank after every finite score, NaN ranks after them, and ties break
+    toward the lower item index.
+    """
     indptr, indices = split.train.X.indptr, split.train.X.indices
     lists = []
     for u, pool, relevant in _pools(split, scenario, use):

@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from . import alignment, data, evaluation, features, solvers
-from .errors import ConfigError, SingularMatrixError, SolverError, StageError
+from .errors import ConfigError, FormatError, SingularMatrixError, SolverError, StageError
 
 log = logging.getLogger(__name__)
 
@@ -362,6 +362,10 @@ class _Pipeline:
         if self.model is None:  # warm protocol: the grid fitted the nested split
             self.model = self._fit_point(self.split_.train.X, self.d, self.best_point)
         self.model.item_ids = self.dataset.item_ids
+        if self.protocol == "cold":
+            # the fraction of cold items the model can score at all
+            cold = self.model.theta[:, self.split_.cold_cols]
+            self.model.diagnostics["cold_coverage"] = float(np.mean(cold.any(axis=0)))
 
     def persist_model(self):
         solvers.save_model(self.model, self.model_path)
@@ -370,7 +374,17 @@ class _Pipeline:
         self.split_ = data.load_split(self.split_dir)
 
     def load_model(self):
-        self.model = solvers.load_model(self.model_path)
+        """Read model.bin and check that it scores the split's items in order."""
+        model = solvers.load_model(self.model_path)
+        ids = self.split_.train.item_ids
+        if len(model.theta) != len(ids):
+            raise FormatError(f"{self.model_path}: the model has {len(model.theta)} items, "
+                              f"the split has {len(ids)}")
+        if model.item_ids is not None and model.item_ids != ids:
+            j = next(j for j, (a, b) in enumerate(zip(model.item_ids, ids)) if a != b)
+            raise FormatError(f"{self.model_path}: item {j} is {model.item_ids[j]!r} in the "
+                              f"model but {ids[j]!r} in the split")
+        self.model = model
 
     def evaluate(self):
         ev = self.cfg["evaluation"]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -174,6 +175,33 @@ def test_main_evaluate_corrupt_model_is_a_data_error(planted_config, capsys, cor
     with open(model, "wb") as fh:
         fh.write(corrupt(raw))
     assert main(["evaluate", "--config", path]) == EXIT_DATA
+
+
+def test_main_evaluate_model_with_other_item_count_is_a_data_error(planted_config, capsys,
+                                                                  caplog):
+    path = planted_config()
+    other = planted_config(n_items=50, name="other")
+    outdirs = []
+    for config in (path, other):
+        assert main(["fit", "--config", config]) == EXIT_OK
+        outdirs.append(capsys.readouterr().out.strip())
+    for name in ("model.bin", "model.bin.json"):
+        shutil.copy(os.path.join(outdirs[1], name), os.path.join(outdirs[0], name))
+    assert main(["evaluate", "--config", path]) == EXIT_DATA
+    assert "the model has 50 items, the split has 60" in caplog.text
+
+
+def test_main_evaluate_model_with_other_item_ids_is_a_data_error(planted_config, capsys,
+                                                                 caplog):
+    path = planted_config()
+    assert main(["fit", "--config", path]) == EXIT_OK
+    model = os.path.join(capsys.readouterr().out.strip(), "model.bin")
+    with open(model, "rb") as fh:
+        raw = fh.read()
+    with open(model, "wb") as fh:
+        fh.write(raw.replace(b"i00001", b"x00001", 1))
+    assert main(["evaluate", "--config", path]) == EXIT_DATA
+    assert "is 'x00001' in the model but 'i00001' in the split" in caplog.text
 
 
 @pytest.mark.parametrize("target,stage", [

@@ -1,6 +1,9 @@
 """Ranking metrics, scenario pools, and the bootstrap interval."""
 
 import logging
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from alignrec import (
     hr_at_k,
     ndcg_at_k,
 )
+from alignrec import evaluation
 from alignrec.evaluation import build_ranked_lists, rank_candidates
 
 
@@ -150,6 +154,84 @@ def test_metrics_over_the_hit_rank_table_equal_the_per_list_path(lists, k):
         assert res.users.tolist() == [rl.user for rl in kept]
         # exact: the table sums each user's discounts like the per-list np.sum
         assert res.per_user.tolist() == ref[:, col].tolist()
+
+
+def _reference_table(lists):
+    """The hit-rank table built one np.isin per list (the direct path)."""
+    kept = [rl for rl in lists if len(rl.relevant)]
+    ranks = [np.flatnonzero(np.isin(rl.ranked, rl.relevant)) + 1 for rl in kept]
+    return (np.array([rl.user for rl in kept]), np.array([len(rl.relevant) for rl in kept]),
+            np.array([len(r) for r in ranks]), np.concatenate(ranks))
+
+
+@st.composite
+def wide_ranked_lists(draw):
+    """Lists of mixed lengths over item ids up to 2**40 (or a small range, so
+    hits are common), with relevant items in and out of the pool and some
+    lists with none."""
+    top = draw(st.sampled_from([20, 2**40]))
+    lists = []
+    for user in range(draw(st.integers(1, 12))):
+        pool = draw(st.lists(st.integers(0, top), max_size=30, unique=True))
+        inside = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+        outside = draw(st.lists(st.integers(0, top), max_size=4))
+        relevant = np.unique(np.array(inside + outside, dtype=np.int64))
+        lists.append(RankedList(user=user, ranked=np.array(pool, dtype=np.int64),
+                                relevant=relevant))
+    return lists
+
+
+@settings(max_examples=200, deadline=None)
+@given(lists=wide_ranked_lists())
+def test_chunked_hit_rank_table_equals_one_isin_per_list(lists):
+    if not any(len(rl.relevant) for rl in lists):
+        return
+    # a chunk of 3 lists, so most examples cross chunk boundaries
+    with mock.patch.object(evaluation, "_HIT_CHUNK", 3):
+        table = evaluation._hit_ranks(lists)
+    for got, want in zip(table, _reference_table(lists)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_hit_rank_table_scratch_memory_is_bounded():
+    rng = np.random.default_rng(0)
+    lists = [RankedList(user=u, ranked=rng.permutation(1000),
+                        relevant=rng.choice(1000, size=3, replace=False))
+             for u in range(4096)]
+    tracemalloc.start()
+    try:
+        evaluation._hit_ranks(lists)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one pass over all 4M candidates at once would hold 32 MB of int64 keys
+    assert peak < 8 * 2**20
+
+
+def test_evaluate_scenario_ranks_non_finite_scores_by_the_stated_rule(cold_split):
+    """+inf first, then finite scores descending, then -inf (masked
+    positives too), then NaN; ties toward the lower item index."""
+    indptr, indices = cold_split.train.X.indptr, cold_split.train.X.indices
+    rng = np.random.default_rng(5)
+    values = np.array([np.nan, np.inf, -np.inf, 0.0, 1.0, 2.5])
+    for _ in range(20):
+        scores = rng.choice(values, size=(4, 6))
+        for scenario, use in (("all", "test"), ("all", "val"), ("cold", "test")):
+            lists = []
+            for rl in build_ranked_lists(scores, cold_split, scenario, use=use):
+                s = scores[rl.user].copy()
+                s[indices[indptr[rl.user] : indptr[rl.user + 1]]] = -np.inf
+                order = sorted(np.unique(rl.ranked).tolist(),
+                               key=lambda j: (math.isnan(s[j]), -s[j] if s[j] == s[j] else 0, j))
+                lists.append(RankedList(user=rl.user, ranked=np.array(order),
+                                        relevant=rl.relevant))
+            rep = evaluate_scenario(scores, cold_split, scenario, ks=(1, 2, 3), use=use,
+                                    with_ci=False)
+            for k in (1, 2, 3):
+                ref = np.array([_reference_metrics(rl, k) for rl in lists])
+                assert rep.metric("hr", k).per_user.tolist() == ref[:, 0].tolist()
+                assert rep.metric("ndcg", k).per_user.tolist() == ref[:, 1].tolist()
 
 
 def test_evaluate_scenario_warns_once_per_call_not_per_metric(cold_split, caplog,

@@ -351,6 +351,16 @@ def test_run_experiment_cold_end_to_end(planted_config):
     assert len(trace) == 3
 
 
+def test_cold_run_records_cold_coverage(planted_config):
+    outdir = run_experiment(planted_config())
+    with open(os.path.join(outdir, "model.bin.json"), encoding="utf-8") as fh:
+        coverage = json.load(fh)["diagnostics"]["cold_coverage"]
+    theta = load_model(os.path.join(outdir, "model.bin")).theta
+    cold = load_split(os.path.join(outdir, "splits")).cold_cols
+    assert coverage == np.count_nonzero(theta[:, cold].any(axis=0)) / len(cold)
+    assert coverage > 0  # the alignment term reaches cold items
+
+
 def test_run_experiment_selects_nonzero_ridge_over_overfit(tmp_path):
     """On topic-structured clicks, the unregularized point loses validation."""
     import alignrec.synthetic as synthetic
