@@ -37,12 +37,10 @@ class AlignmentConfig:
     decay: str = "step_linear"
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        # a chained test, so that NaN and infinity are refused too
+        for name in ("delta", "alpha", "beta"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0 < self.percentile <= 100:
             raise ValueError(f"percentile must be in (0, 100], got {self.percentile}")
         if self.decay not in _DECAYS:

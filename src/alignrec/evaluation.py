@@ -25,6 +25,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 SCENARIOS = ("cold", "warm", "all", "leave_one_out")
+METRICS = ("hr", "ndcg")
 
 
 @dataclass
@@ -260,7 +261,7 @@ def validation_metrics(scores, split, k):
     return {f"{m}@{k}": rep.metric(m, k).mean for m in ("ndcg", "hr")}
 
 
-def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=("hr", "ndcg"),
+def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=METRICS,
                       use="test", with_ci=True, resamples=500, fraction=0.20,
                       seed=None):
     """Score one scenario and return an EvalReport with optional CIs.
@@ -275,8 +276,8 @@ def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=("hr", "ndcg"),
         seed = split.seed
     results = []
     for name in metrics:
-        if name not in ("hr", "ndcg"):
-            raise ValueError(f"unknown metric {name!r}, have ['hr', 'ndcg']")
+        if name not in METRICS:
+            raise ValueError(f"unknown metric {name!r}, have {list(METRICS)}")
         for k in ks:
             res = _metric(table, name, k)
             if with_ci:

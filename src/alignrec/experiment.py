@@ -11,7 +11,9 @@ grid trace and the model sidecar carry timings by design).
 
 from __future__ import annotations
 
+import copy
 import csv
+import dataclasses
 import itertools
 import logging
 import os
@@ -30,135 +32,190 @@ log = logging.getLogger(__name__)
 
 WORKERS_ENV = "ALIGNREC_WORKERS"
 
-_SOLVERS = ("ease", "mslim", "itemknn")
-_GRID_KEYS = {
-    "ease": ("lambda0", "lambda1", "alpha"),
-    "mslim": ("w1", "lambda1", "gamma1", "alpha"),
-    "itemknn": ("alpha",),
-}
 _SELECT_K = 10
 
+_REQUIRED = object()  # the config must give the key
+_OPTIONAL = object()  # the key has no default; when absent it stays absent
 
-def _require(cfg, key, where):
-    if key not in cfg:
-        raise ConfigError(f"missing required key {where}.{key}" if where else
-                          f"missing required key {key}")
-    return cfg[key]
+# section -> {key: default}; the one statement of the keys a config may hold
+_SCHEMA = {
+    "config": {"seed": _REQUIRED, "data": _REQUIRED, "split": {}, "attributes": [],
+               "alignment": {}, "solver": {}, "evaluation": {}, "workers": 1, "output": None},
+    "data": {"interactions": _REQUIRED, "format": "csv", "binarize_threshold": 0.5},
+    "split": {"protocol": "cold", "cold_fraction": 0.20, "fractions": [0.80, 0.10, 0.10],
+              "min_user_clicks": 20, "negatives": 100},
+    "attributes[]": {"name": _REQUIRED, "kind": _REQUIRED, "path": _REQUIRED,
+                     "vocab_size": features.AttributeSpec.vocab_size},
+    "alignment": {**{f.name: f.default for f in dataclasses.fields(alignment.AlignmentConfig)},
+                  "mu_grid": []},
+    "alignment.mu_grid[]": {"first_order": _REQUIRED, "second_order": _OPTIONAL},
+    "solver": {"name": "ease", "grid": {}},
+    # solver name -> the keys its grid may sweep; a key left out is not swept
+    "solver.grid": {"ease": ("lambda0", "lambda1", "alpha"),
+                    "mslim": ("w1", "lambda1", "gamma1", "alpha"), "itemknn": ("alpha",)},
+    # scenarios: the protocol's own, filled in by load_config
+    "evaluation": {"metrics": list(evaluation.METRICS), "ks": [10], "scenarios": _OPTIONAL,
+                   "resamples": 500, "fraction": 0.20},
+}
+
+
+def _section(raw, where, schema):
+    """``raw`` with ``schema``'s defaults filled in.
+
+    Raises ConfigError when ``raw`` is not a mapping, holds a key that
+    ``schema`` lacks, or lacks a required key.
+    """
+    _check(isinstance(raw, dict), where, raw, "a mapping")
+    for key in raw:
+        if key not in schema:
+            raise ConfigError(f"key {key!r} not valid for {where} (valid: {', '.join(schema)})")
+    for key, default in schema.items():
+        if key not in raw and default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in {where}")
+    return {**{k: copy.deepcopy(d) for k, d in schema.items()
+               if d is not _REQUIRED and d is not _OPTIONAL}, **raw}
+
+
+def _check(ok, where, value, want):
+    if not ok:
+        raise ConfigError(f"{where} must be {want}, got {value!r}")
+
+
+def _positive_int(value):
+    return type(value) is int and value >= 1
+
+
+def _point_configs(acfg, solver, point):
+    """The AlignmentConfig and solver config of one grid point (None for itemknn)."""
+    acfg = dataclasses.replace(acfg, alpha=point.get("alpha", acfg.alpha))
+    if solver == "itemknn":
+        return acfg, None
+    make = solvers.EaseConfig if solver == "ease" else solvers.MslimConfig
+    return acfg, make(**{k: v for k, v in point.items() if k != "alpha"})
 
 
 def load_config(path):
-    """Parse and validate a YAML experiment config.
+    """Parse a YAML experiment config and check all of it.
 
-    Relative paths inside the file resolve against the file's directory.
-    Raises ConfigError before any compute when something is off.
+    Every section must be a mapping of the keys in ``_SCHEMA``; absent keys
+    take their defaults. The values are checked by building, once, the
+    typed objects the stages use: the AlignmentConfig (kept under
+    ``"_alignment"``), the AttributeSpecs, the MixCoefficients and each
+    grid point's solver config. Relative paths inside the file resolve
+    against the file's directory. Raises ConfigError before any stage runs;
+    only the checks that need the dataset wait for the split stage.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            cfg = yaml.safe_load(fh)
+            raw = yaml.safe_load(fh)
         except (yaml.YAMLError, UnicodeDecodeError) as e:
             raise ConfigError(f"{path}: not valid YAML: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config must be a mapping")
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p):
+    def resolve(p, where):
+        _check(isinstance(p, str), where, p, "a path")
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    if "seed" not in cfg:
-        raise ConfigError(f"{path}: a seed is required")
-    cfg["seed"] = int(cfg["seed"])
+    cfg = _section(raw, "config", _SCHEMA["config"])
+    for key in ("data", "split", "alignment", "solver", "evaluation"):
+        cfg[key] = _section(cfg[key], key, _SCHEMA[key])
+    dat, spl, ali, sol, ev = (cfg[key] for key in ("data", "split", "alignment", "solver",
+                                                     "evaluation"))
+    _check(type(cfg["seed"]) is int, "seed", cfg["seed"], "an integer")
+    _check(_positive_int(cfg["workers"]), "workers", cfg["workers"], "a positive integer")
+    _check(cfg["output"] is None or isinstance(cfg["output"], str), "output", cfg["output"],
+           "a path")
 
-    dat = _require(cfg, "data", "")
-    dat["interactions"] = resolve(_require(dat, "interactions", "data"))
+    dat["interactions"] = resolve(dat["interactions"], "data.interactions")
     if not os.path.exists(dat["interactions"]):
         raise ConfigError(f"interactions file not found: {dat['interactions']}")
-    dat.setdefault("format", "csv")
-    dat.setdefault("binarize_threshold", 0.5)
+    _check(dat["format"] in data._DELIMITERS, "data.format", dat["format"], "csv or tsv")
+    _check(type(dat["binarize_threshold"]) in (int, float), "data.binarize_threshold",
+           dat["binarize_threshold"], "a number")
+    protocol = spl["protocol"]
+    _check(protocol in ("cold", "warm"), "split.protocol", protocol, "cold or warm")
+    _check(type(spl["cold_fraction"]) in (int, float) and 0 < spl["cold_fraction"] < 1,
+           "split.cold_fraction", spl["cold_fraction"], "in (0, 1)")
+    _check(isinstance(spl["fractions"], list) and len(spl["fractions"]) == 3
+           and all(type(f) in (int, float) and f >= 0 for f in spl["fractions"])
+           and abs(sum(spl["fractions"]) - 1.0) <= 1e-9,
+           "split.fractions", spl["fractions"], "three non-negative numbers that sum to 1")
+    for key in ("min_user_clicks", "negatives"):
+        _check(_positive_int(spl[key]), f"split.{key}", spl[key], "a positive integer")
 
-    spl = cfg.setdefault("split", {})
-    protocol = spl.setdefault("protocol", "cold")
-    if protocol not in ("cold", "warm"):
-        raise ConfigError(f"split.protocol must be cold or warm, got {protocol!r}")
-    spl.setdefault("cold_fraction", 0.20)
-    spl.setdefault("fractions", [0.80, 0.10, 0.10])
-    spl.setdefault("min_user_clicks", 20)
-    spl.setdefault("negatives", 100)
-
+    _check(isinstance(cfg["attributes"], list), "attributes", cfg["attributes"], "a list")
     specs = []
-    for i, a in enumerate(cfg.get("attributes", [])):
-        for key in ("name", "kind"):
-            if key not in a:
-                raise ConfigError(f"attributes[{i}] is missing {key!r}")
-        spec = features.AttributeSpec(
-            name=a["name"], kind=a["kind"],
-            path=resolve(_require(a, "path", f"attributes[{i}]")),
-            vocab_size=int(a.get("vocab_size", 1000)),
-        )
-        if not os.path.exists(spec.path):
-            raise ConfigError(f"attribute {spec.name!r}: file not found: {spec.path}")
-        specs.append(spec)
+    for i, a in enumerate(cfg["attributes"]):
+        where = f"attributes[{i}]"
+        a = _section(a, where, _SCHEMA["attributes[]"])
+        _check(isinstance(a["name"], str), where + ".name", a["name"], "a string")
+        _check(_positive_int(a["vocab_size"]), where + ".vocab_size", a["vocab_size"],
+               "a positive integer")
+        try:
+            specs.append(features.AttributeSpec(**dict(a, path=resolve(a["path"], where))))
+        except ValueError as e:
+            raise ConfigError(f"{where}: {e}") from e
+        if not os.path.exists(specs[-1].path):
+            raise ConfigError(f"attribute {a['name']!r}: file not found: {specs[-1].path}")
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate attribute names: {names}")
     cfg["attributes"] = specs
 
-    ali = cfg.setdefault("alignment", {})
-    ali.setdefault("delta", 0.0)
-    ali.setdefault("alpha", 1.0)
-    ali.setdefault("beta", 0.0)
-    ali.setdefault("percentile", 10.0)
-    ali.setdefault("decay", "step_linear")
-    n_attr = len(specs)
+    try:
+        acfg = alignment.AlignmentConfig(**{k: v for k, v in ali.items() if k != "mu_grid"})
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"alignment: {e}") from e
+    cfg["_alignment"] = acfg
+    _check(isinstance(ali["mu_grid"], list), "alignment.mu_grid", ali["mu_grid"], "a list")
     mu_grid = []
-    for i, point in enumerate(ali.get("mu_grid", [])):
+    for i, point in enumerate(ali["mu_grid"]):
+        where = f"alignment.mu_grid[{i}]"
         try:
-            mu_grid.append(alignment.MixCoefficients.from_dict(point))
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"alignment.mu_grid[{i}]: {e}") from e
-        if mu_grid[-1].n_attributes != n_attr:
-            raise ConfigError(
-                f"alignment.mu_grid[{i}] has {mu_grid[-1].n_attributes} "
-                f"first-order coefficients for {n_attr} attributes"
-            )
+            mu_grid.append(alignment.MixCoefficients.from_dict(
+                _section(point, where, _SCHEMA["alignment.mu_grid[]"])))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{where}: {e}") from e
+        if mu_grid[-1].n_attributes != len(specs):
+            raise ConfigError(f"{where} has {mu_grid[-1].n_attributes} "
+                              f"first-order coefficients for {len(specs)} attributes")
     if not mu_grid:
-        if n_attr == 0:
+        if not specs:
             raise ConfigError("at least one attribute is required")
-        mu_grid = [alignment.default_mix(n_attr)]
+        mu_grid = [alignment.default_mix(len(specs))]
     ali["mu_grid"] = mu_grid
 
-    sol = cfg.setdefault("solver", {})
-    name = sol.setdefault("name", "ease")
-    if name not in _SOLVERS:
-        raise ConfigError(f"solver.name must be one of {_SOLVERS}, got {name!r}")
-    grid = sol.setdefault("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("solver.grid must map parameter names to value lists")
+    name, grid_keys = sol["name"], _SCHEMA["solver.grid"]
+    _check(name in grid_keys, "solver.name", name, f"one of {tuple(grid_keys)}")
+    grid = _section(sol["grid"], f"{name} grid", dict.fromkeys(grid_keys[name], _OPTIONAL))
     for key, values in grid.items():
-        if key not in _GRID_KEYS[name]:
-            raise ConfigError(
-                f"solver.grid key {key!r} not valid for {name} "
-                f"(valid: {_GRID_KEYS[name]})"
-            )
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"solver.grid.{key} must be a nonempty list")
+        _check(isinstance(values, list) and values, f"solver.grid.{key}", values,
+               "a nonempty list")
+    for point in build_grid(sol):
+        try:
+            _point_configs(acfg, name, point)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"solver.grid point {point}: {e}") from e
 
-    ev = cfg.setdefault("evaluation", {})
-    ev.setdefault("metrics", ["hr", "ndcg"])
-    ev.setdefault("ks", [10])
-    default_scenarios = ["cold", "warm", "all"] if protocol == "cold" else ["leave_one_out"]
-    ev.setdefault("scenarios", default_scenarios)
+    _check(isinstance(ev["metrics"], list) and ev["metrics"]
+           and all(m in evaluation.METRICS for m in ev["metrics"]), "evaluation.metrics",
+           ev["metrics"], f"a nonempty list drawn from {evaluation.METRICS}")
+    _check(isinstance(ev["ks"], list) and ev["ks"] and all(map(_positive_int, ev["ks"])),
+           "evaluation.ks", ev["ks"], "a nonempty list of positive integers")
+    ev.setdefault("scenarios",
+                  ["cold", "warm", "all"] if protocol == "cold" else ["leave_one_out"])
+    _check(isinstance(ev["scenarios"], list), "evaluation.scenarios", ev["scenarios"], "a list")
     for s in ev["scenarios"]:
         if s not in evaluation.SCENARIOS:
             raise ConfigError(f"unknown scenario {s!r}")
         if (s == "leave_one_out") != (protocol == "warm"):
             raise ConfigError(f"scenario {s!r} does not match protocol {protocol!r}")
-    ev.setdefault("resamples", 500)
-    ev.setdefault("fraction", 0.20)
-
-    cfg.setdefault("workers", 1)
-    cfg.setdefault("output", None)
+    _check(_positive_int(ev["resamples"]), "evaluation.resamples", ev["resamples"],
+           "a positive integer")
+    _check(type(ev["fraction"]) in (int, float) and 0 < ev["fraction"] <= 1,
+           "evaluation.fraction", ev["fraction"], "in (0, 1]")
     cfg["_path"] = path
     return cfg
 
@@ -166,9 +223,7 @@ def load_config(path):
 def build_grid(solver_cfg):
     """Cross-product of the declared value lists, in declaration order."""
     grid = solver_cfg.get("grid", {})
-    if not grid:
-        return [{}]
-    keys = list(grid.keys())
+    keys = list(grid)
     return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 
 
@@ -254,7 +309,7 @@ class _Pipeline:
         self.cfg = cfg
         self.seed = cfg["seed"] if seed is None else int(seed)
         self._workers = workers
-        out = output or cfg.get("output")
+        out = output or cfg["output"]
         if not out:
             raise ConfigError("an output directory is required (--output or config output)")
         self.output = out
@@ -263,6 +318,7 @@ class _Pipeline:
         self.model_path = os.path.join(out, "model.bin")
         self.report_paths = {}
         self.protocol = cfg["split"]["protocol"]
+        self.acfg = cfg["_alignment"]
 
     @cached_property
     def workers(self):
@@ -274,7 +330,7 @@ class _Pipeline:
             return int(self._workers)
         raw = os.environ.get(WORKERS_ENV)
         if raw is None:
-            return int(self.cfg.get("workers") or 1)
+            return self.cfg["workers"]
         try:
             return int(raw)
         except ValueError:
@@ -317,8 +373,8 @@ class _Pipeline:
     def featurize(self):
         self.features = features.build_feature_set(self.cfg["attributes"],
                                                    self.dataset.item_index)
-        delta = self.cfg["alignment"]["delta"]
-        self.sims = [alignment.smoothed_cosine(b, delta) for b in self.features.blocks]
+        self.sims = [alignment.smoothed_cosine(b, self.acfg.delta)
+                     for b in self.features.blocks]
 
     def persist_features(self):
         os.makedirs(self.feature_dir, exist_ok=True)
@@ -333,8 +389,7 @@ class _Pipeline:
         grid point shares the decay vectors built here.
         """
         spl, train = self.cfg["split"], self.split_.train
-        acfg = self._align_cfg(self.cfg["alignment"]["alpha"])
-        self.d = alignment.popularity_regularizer(train.X, acfg)
+        self.d = alignment.popularity_regularizer(train.X, self.acfg)
         if self.protocol == "cold":
             self.val, self.val_d = self.split_, self.d
         else:
@@ -342,7 +397,7 @@ class _Pipeline:
                 train, min_user_clicks=max(1, spl["min_user_clicks"] - 1),
                 negatives=spl["negatives"], seed=self.seed + 1,
             )
-            self.val_d = alignment.popularity_regularizer(self.val.train.X, acfg)
+            self.val_d = alignment.popularity_regularizer(self.val.train.X, self.acfg)
         grid = self.cfg["alignment"]["mu_grid"]
         self.mu = alignment.fit_mix_coefficients(
             self.sims, self.val.train.X, self.val, grid, k=_SELECT_K)
@@ -413,8 +468,7 @@ class _Pipeline:
             "seed": self.seed,
             "solver": self.cfg["solver"]["name"],
             "mix": self.mu.to_dict(),
-            "alignment": {k: self.cfg["alignment"][k]
-                          for k in ("delta", "alpha", "beta", "percentile", "decay")},
+            "alignment": dataclasses.asdict(self.acfg),
             "selected": self.best_point,
             "selected_index": self.best_index,
             "grid_size": len(self.trace),
@@ -427,29 +481,20 @@ class _Pipeline:
         })
 
     # solver fitting -----------------------------------------------------
-    def _align_cfg(self, alpha):
-        a = self.cfg["alignment"]
-        return alignment.AlignmentConfig(
-            delta=a["delta"], alpha=alpha, beta=a["beta"],
-            percentile=a["percentile"], decay=a["decay"],
-        )
-
     def _fit_point(self, X, d, point):
         name = self.cfg["solver"]["name"]
-        alpha = point.get("alpha", self.cfg["alignment"]["alpha"])
-        acfg = self._align_cfg(alpha)
+        acfg, solver_cfg = _point_configs(self.acfg, name, point)
         if name == "itemknn":
             return solvers.ItemModel(
                 theta=self.G, solver="itemknn",
-                config={"alpha": alpha, "delta": acfg.delta},
+                config={"alpha": acfg.alpha, "delta": acfg.delta},
                 diagnostics={"n_items": int(X.shape[1]), "n_users": int(X.shape[0])},
             )
         B = alignment.align(X, self.G, acfg, d=d)
-        keys = {k: v for k, v in point.items() if k != "alpha"}
         # looked up per call, so a wrapper set on the module after import sees every fit
         if name == "ease":
-            return solvers.fit_ease(X, solvers.EaseConfig(**keys), F=self.features, B=B)
-        return solvers.fit_mslim(X, solvers.MslimConfig(**keys), B=B)
+            return solvers.fit_ease(X, solver_cfg, F=self.features, B=B)
+        return solvers.fit_mslim(X, solver_cfg, B=B)
 
     def _validation_metrics(self, point):
         """(metrics, model) of one grid point; the model only if fitted on the run's split."""

@@ -192,6 +192,8 @@ def _load_embeddings_text(path):
                 raise FormatError(
                     f"{path}:{lineno}: vector has width {v.shape[0]}, header says {dim}"
                 )
+            if item_id in vecs:
+                raise FormatError(f"{path}:{lineno}: repeated id {item_id!r}")
             vecs[item_id] = v
     return vecs, dim
 
@@ -199,8 +201,8 @@ def _load_embeddings_text(path):
 def _load_embeddings_binary(path):
     """Read a file written by write_embeddings_binary.
 
-    A bad magic, a file that ends early, an id that is not UTF-8, or bytes
-    past the last row raise FormatError.
+    A bad magic, a file that ends early, an id that is not UTF-8 or
+    repeated, or bytes past the last row raise FormatError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_EMB_MAGIC))
@@ -210,6 +212,8 @@ def _load_embeddings_binary(path):
         vecs = {}
         for _ in range(n_rows):
             item_id = read_item_id(fh, path)
+            if item_id in vecs:
+                raise FormatError(f"{path}: repeated id {item_id!r}")
             raw = read_exact(fh, 8 * dim, path)
             vecs[item_id] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
         if fh.read(1):
@@ -221,7 +225,8 @@ def load_embedding_block(path, item_index, name=None):
     """Load per-item dense vectors, aligned to ``item_index`` (id -> row).
 
     Items missing from the file get zero rows; the number of misses is
-    logged and recorded on the block. Raises if no id matches at all.
+    logged and recorded on the block. Raises FormatError if no id matches
+    at all.
     """
     with open(path, "rb") as fh:
         is_binary = fh.read(len(_EMB_MAGIC)) == _EMB_MAGIC
@@ -235,7 +240,7 @@ def load_embedding_block(path, item_index, name=None):
             m[row] = v
             matched += 1
     if matched == 0:
-        raise ValueError(f"{path}: no embedding id matches the dataset items")
+        raise FormatError(f"{path}: no embedding id matches the dataset items")
     missing = len(item_index) - matched
     if missing:
         log.warning("%s: %d of %d items have no embedding (zero rows)",
@@ -317,11 +322,11 @@ def load_metadata_column(path, item_index):
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["item", "value"]:
             raise FormatError(f"{path}: header must be item,value, got {header}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
-                raise FormatError(f"{path}: expected 2 fields, got {len(row)}")
+                raise FormatError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
             r = item_index.get(row[0])
             if r is None:
                 unknown += 1

@@ -38,10 +38,11 @@ class EaseConfig:
     lambda1: float = 1.0
 
     def __post_init__(self):
-        if self.lambda0 < 0:
-            raise ValueError(f"lambda0 must be >= 0, got {self.lambda0}")
-        if self.lambda1 <= 0:
-            raise ValueError(f"lambda1 must be > 0, got {self.lambda1}")
+        # chained tests, so that NaN and infinity are refused too
+        if not 0 <= self.lambda0 < np.inf:
+            raise ValueError(f"lambda0 must be finite and >= 0, got {self.lambda0}")
+        if not 0 < self.lambda1 < np.inf:
+            raise ValueError(f"lambda1 must be finite and > 0, got {self.lambda1}")
 
 
 @dataclass
@@ -52,14 +53,11 @@ class MslimConfig:
     w0: float = 1.0
 
     def __post_init__(self):
-        if self.w0 <= 0:
-            raise ValueError(f"w0 must be > 0, got {self.w0}")
-        if self.w1 < 0:
-            raise ValueError(f"w1 must be >= 0, got {self.w1}")
-        if self.lambda1 < 0:
-            raise ValueError(f"lambda1 must be >= 0, got {self.lambda1}")
-        if self.gamma1 < 0:
-            raise ValueError(f"gamma1 must be >= 0, got {self.gamma1}")
+        if not 0 < self.w0 < np.inf:
+            raise ValueError(f"w0 must be finite and > 0, got {self.w0}")
+        for name in ("w1", "lambda1", "gamma1"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass

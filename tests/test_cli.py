@@ -286,29 +286,46 @@ def test_main_evaluate_corrupt_split_is_a_data_error(planted_config, capsys, cap
     assert "stage 'load-split' failed" in caplog.text and message in caplog.text
 
 
+def _write_metadata_csv(path, ids, matrix):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("item,value\n" + "".join(f"{item},t\n" for item in ids))
+
+
+_WRITERS = {".tsv": write_embeddings_text, ".bin": write_embeddings_binary,
+            ".csv": _write_metadata_csv}
+
+
 @pytest.mark.parametrize("suffix,corrupt,message", [
     pytest.param(".tsv", lambda raw: raw.replace(b"\t0.5,", b"\t0.5,abc,", 1),
                  "bad embedding value", id="text-bad-float"),
     pytest.param(".tsv", lambda raw: raw.replace(b"i00000", b"i\xff0000", 1),
                  "not UTF-8", id="text-bad-id"),
+    pytest.param(".tsv", lambda raw: raw.replace(b"i00001", b"i00000", 1),
+                 "emb.tsv:3: repeated id 'i00000'", id="text-repeated-id"),
+    pytest.param(".tsv", lambda raw: raw.replace(b"\ni", b"\nx"),
+                 "emb.tsv: no embedding id matches the dataset items", id="text-no-match"),
     pytest.param(".bin", lambda raw: raw.replace(b"i00000", b"i\xff0000", 1),
                  "is not UTF-8", id="binary-bad-id"),
+    pytest.param(".bin", lambda raw: raw.replace(b"i00001", b"i00000", 1),
+                 "emb.bin: repeated id 'i00000'", id="binary-repeated-id"),
     pytest.param(".bin", lambda raw: raw[:12], "truncated", id="binary-truncated-header"),
     pytest.param(".bin", lambda raw: raw + b"\0", "trailing bytes", id="binary-trailing-bytes"),
+    pytest.param(".csv", lambda raw: raw.replace(b"i00001,t", b"i00001,t,u", 1),
+                 "emb.csv:3: expected 2 fields, got 3", id="metadata-wide-row"),
 ])
 def test_main_featurize_corrupt_embeddings_is_a_data_error(planted_config, caplog,
                                                            suffix, corrupt, message):
     path = planted_config()
     emb = os.path.join(os.path.dirname(path), "emb" + suffix)
-    write = write_embeddings_text if suffix == ".tsv" else write_embeddings_binary
-    write(emb, [f"i{j:05d}" for j in range(60)], np.full((60, 2), 0.5))
+    _WRITERS[suffix](emb, [f"i{j:05d}" for j in range(60)], np.full((60, 2), 0.5))
     with open(emb, "rb") as fh:
         raw = fh.read()
     with open(emb, "wb") as fh:
         fh.write(corrupt(raw))
     with open(path, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
-    cfg["attributes"] = [{"name": "emb", "kind": "embedding_file", "path": emb}]
+    kind = "categorical" if suffix == ".csv" else "embedding_file"
+    cfg["attributes"] = [{"name": "emb", "kind": kind, "path": emb}]
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(cfg, fh)
     assert main(["featurize", "--config", path]) == EXIT_DATA
@@ -334,6 +351,83 @@ def test_main_non_utf8_data_is_a_data_error(planted_config, capsys, caplog,
     assert main([verb, "--config", path]) == EXIT_DATA
     assert "not UTF-8" in caplog.text and os.path.basename(target) in caplog.text
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda c: c.update(split="cold"), "split must be a mapping, got 'cold'",
+                 id="split-not-a-mapping"),
+    pytest.param(lambda c: c.update(seed=[1]), "seed must be an integer, got [1]",
+                 id="seed-not-an-integer"),
+    pytest.param(lambda c: c.update(attributes=5), "attributes must be a list, got 5",
+                 id="attributes-not-a-list"),
+    pytest.param(lambda c: c["alignment"].update(alpah=0.0),
+                 "key 'alpah' not valid for alignment", id="alignment-unknown-key"),
+    pytest.param(lambda c: c["solver"].update(nmae="mslim"),
+                 "key 'nmae' not valid for solver", id="solver-unknown-key"),
+    pytest.param(lambda c: c.update(evaluation={"fraction": 0}),
+                 "evaluation.fraction must be in (0, 1], got 0", id="zero-fraction"),
+    pytest.param(lambda c: c.update(evaluation={"ks": [0], "metrics": ["map"]}),
+                 "evaluation.metrics must be a nonempty list drawn from ('hr', 'ndcg'), "
+                 "got ['map']", id="unknown-metric"),
+    pytest.param(lambda c: c.update(evaluation={"ks": [0]}),
+                 "evaluation.ks must be a nonempty list of positive integers, got [0]",
+                 id="zero-k"),
+    pytest.param(lambda c: c.update(evaluation={"ks": ["10"], "resamples": 0}),
+                 "evaluation.ks must be a nonempty list of positive integers, got ['10']",
+                 id="string-k"),
+    pytest.param(lambda c: c.update(evaluation={"resamples": 0}),
+                 "evaluation.resamples must be a positive integer, got 0", id="zero-resamples"),
+    pytest.param(lambda c: c["solver"].update(grid={"lambda1": [0]}),
+                 "solver.grid point {'lambda1': 0}: lambda1 must be finite and > 0, got 0",
+                 id="zero-lambda1"),
+    pytest.param(lambda c: c["alignment"].update(decay="linear"),
+                 "alignment: decay must be one of", id="unknown-decay"),
+    pytest.param(lambda c: c["alignment"].update(delta=-1),
+                 "alignment: delta must be finite and >= 0, got -1", id="negative-delta"),
+    pytest.param(lambda c: c["alignment"].update(alpha=float("nan")),
+                 "alignment: alpha must be finite and >= 0, got nan", id="nan-alpha"),
+    pytest.param(lambda c: c["alignment"].update(beta=float("inf")),
+                 "alignment: beta must be finite and >= 0, got inf", id="infinite-beta"),
+    pytest.param(lambda c: c["solver"].update(grid={"lambda1": [float("nan")]}),
+                 "lambda1 must be finite and > 0, got nan", id="nan-lambda1"),
+    pytest.param(lambda c: c["solver"].update(name="mslim", grid={"gamma1": [float("inf")]}),
+                 "gamma1 must be finite and >= 0, got inf", id="infinite-gamma1"),
+    pytest.param(lambda c: c.update(sed=3), "key 'sed' not valid for config", id="top-typo"),
+    pytest.param(lambda c: c.update(workers=0), "workers must be a positive integer, got 0",
+                 id="zero-workers"),
+    pytest.param(lambda c: c.update(output=5), "output must be a path, got 5", id="bad-output"),
+    pytest.param(lambda c: c["data"].update(format="parquet"),
+                 "data.format must be csv or tsv, got 'parquet'", id="unknown-format"),
+    pytest.param(lambda c: c["data"].update(binarize_threshold="high"),
+                 "data.binarize_threshold must be a number, got 'high'", id="bad-threshold"),
+    pytest.param(lambda c: c["split"].update(cold_fraction=1.5),
+                 "split.cold_fraction must be in (0, 1), got 1.5", id="cold-fraction-above-1"),
+    pytest.param(lambda c: c["split"].update(fractions=[0.5, 0.5, 0.5]),
+                 "split.fractions must be three non-negative numbers that sum to 1",
+                 id="fractions-sum"),
+    pytest.param(lambda c: c["split"].update(negatives=0),
+                 "split.negatives must be a positive integer, got 0", id="zero-negatives"),
+    pytest.param(lambda c: c["attributes"][0].update(vocab=5),
+                 "key 'vocab' not valid for attributes[0]", id="attribute-typo"),
+    pytest.param(lambda c: c["attributes"][0].update(vocab_size="big"),
+                 "attributes[0].vocab_size must be a positive integer, got 'big'",
+                 id="bad-vocab-size"),
+    pytest.param(lambda c: c["alignment"].update(mu_grid=[{"first_order": [1.0],
+                                                           "second_ordr": []}]),
+                 "key 'second_ordr' not valid for alignment.mu_grid[0]", id="mu-grid-typo"),
+])
+def test_main_run_rejects_bad_config_before_any_stage(planted_config, caplog, edit, message):
+    path = planted_config()
+    with open(path, encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    edit(cfg)
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(cfg, fh)
+    assert main(["run", "--config", path]) == EXIT_CONFIG
+    assert message in caplog.text
+    assert "stage " not in caplog.text
+    # the output directory (and so its INCOMPLETE marker) is never made
+    assert not os.path.exists(os.path.join(os.path.dirname(path), "out"))
 
 
 def test_main_non_utf8_config_is_a_config_error(planted_config, caplog):

@@ -14,9 +14,11 @@ import pytest
 import yaml
 
 from alignrec import ConfigError, SolverError, grid_search, load_config, run_experiment
-from alignrec import data, evaluation, solvers
+from alignrec import data, evaluation, solvers, synthetic
 from alignrec.errors import StageError
+from alignrec.features import write_embeddings_text
 from alignrec.experiment import (
+    _SCHEMA,
     VERB_STAGES,
     _Pipeline,
     build_grid,
@@ -134,15 +136,28 @@ def test_load_config_validates_mu_grid(planted_config):
         load_config(path)
 
 
-def test_load_config_accepts_readme_mu_grid(planted_config):
+def test_readme_config_block_matches_the_schema(tmp_path):
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
         block = re.search(r"```yaml\n(.*?)```", fh.read(), re.S).group(1)
-    points = yaml.safe_load(block)["alignment"]["mu_grid"]
-    assert len(points) == 2 and "second_order" not in points[0]
-    path = planted_config(attributes=("topic", "noise", "text"),
-                          alignment={"mu_grid": points})
-    mu = load_config(path)["alignment"]["mu_grid"]
+    shown = yaml.safe_load(block)
+    assert list(shown) == list(_SCHEMA["config"])
+    for section in ("data", "split", "alignment", "solver", "evaluation"):
+        assert list(shown[section]) == list(_SCHEMA[section]), section
+    assert set().union(*shown["attributes"]) == set(_SCHEMA["attributes[]"])
+    assert set().union(*shown["alignment"]["mu_grid"]) == set(_SCHEMA["alignment.mu_grid[]"])
+    grid_comments = re.findall(r"# (ease|mslim|itemknn): (.+)", block)
+    grid_keys = {name: tuple(keys.split(", ")) for name, keys in grid_comments}
+    assert grid_keys == _SCHEMA["solver.grid"]
+
+    # the block loads as written once its relative data paths exist
+    dataset, meta = synthetic.planted_dataset(n_users=40, n_items=60, n_topics=6, seed=1)
+    synthetic.write_dataset_csvs(dataset, meta, tmp_path / "data")
+    write_embeddings_text(str(tmp_path / "data" / "items.emb"), dataset.item_ids,
+                          np.ones((60, 2)))
+    path = tmp_path / "config.yaml"
+    path.write_text(block, encoding="utf-8")
+    mu = load_config(str(path))["alignment"]["mu_grid"]
     assert [m.to_dict() for m in mu] == [
         {"first_order": [1.0, 0.0, 0.0], "second_order": [0.0, 0.0, 0.0]},
         {"first_order": [1.0, 1.0, 0.0], "second_order": [0.5, 0.0, 0.0]},
@@ -349,6 +364,18 @@ def test_run_experiment_cold_end_to_end(planted_config):
     trace = open(os.path.join(outdir, "grid_trace.csv"), encoding="utf-8").read().splitlines()
     assert trace[0].startswith("index,lambda1,")
     assert len(trace) == 3
+
+
+def test_run_records_the_raw_yaml_values(planted_config):
+    # the typed configs coerce nothing: a YAML integer stays an integer in the artifacts
+    outdir = run_experiment(planted_config(alignment={"alpha": 1},
+                                           grid={"lambda1": [1], "alpha": [0, 2]}))
+    with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as fh:
+        assert '"alpha": 1,' in fh.read()
+    with open(os.path.join(outdir, "grid_trace.csv"), encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][1:3] == ["alpha", "lambda1"]
+    assert [row[1:3] for row in rows[1:]] == [["0", "1"], ["2", "1"]]
 
 
 def test_cold_run_records_cold_coverage(planted_config):
