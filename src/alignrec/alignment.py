@@ -224,13 +224,13 @@ class AlignmentMatrix:
             return np.zeros(self.shape)
         return self.alpha * np.asarray(self.X @ self.G) * self.d[None, :]
 
-    def xtb(self):
-        """X^T B as a dense items x items matrix."""
+    def xtb(self, xtx=None):
+        """X^T B as a dense items x items matrix; from the Gram xtx = X^T X if given."""
         n = self.G.shape[1]
         check_dense_budget(n, n, what="X^T B")
         if self.alpha == 0.0:
             return np.zeros((n, n))
-        xtx_g = (self.X.T @ (self.X @ self.G))
+        xtx_g = self.X.T @ (self.X @ self.G) if xtx is None else xtx @ self.G
         return self.alpha * np.asarray(xtx_g) * self.d[None, :]
 
 

@@ -103,7 +103,9 @@ def load_config(path):
     ``"_alignment"``), the AttributeSpecs, the MixCoefficients and each
     grid point's solver config. Relative paths inside the file resolve
     against the file's directory. Raises ConfigError before any stage runs;
-    only the checks that need the dataset wait for the split stage.
+    only the checks that need the dataset wait for the split stage. Whether
+    the data files exist is left to the verb (``_require_inputs``), since
+    not every verb reads them.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -129,8 +131,6 @@ def load_config(path):
            "a path")
 
     dat["interactions"] = resolve(dat["interactions"], "data.interactions")
-    if not os.path.exists(dat["interactions"]):
-        raise ConfigError(f"interactions file not found: {dat['interactions']}")
     _check(dat["format"] in data._DELIMITERS, "data.format", dat["format"], "csv or tsv")
     _check(type(dat["binarize_threshold"]) in (int, float), "data.binarize_threshold",
            dat["binarize_threshold"], "a number")
@@ -157,8 +157,6 @@ def load_config(path):
             specs.append(features.AttributeSpec(**dict(a, path=resolve(a["path"], where))))
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from e
-        if not os.path.exists(specs[-1].path):
-            raise ConfigError(f"attribute {a['name']!r}: file not found: {specs[-1].path}")
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate attribute names: {names}")
@@ -420,7 +418,8 @@ class _Pipeline:
         if self.protocol == "cold":
             # the fraction of cold items the model can score at all
             cold = self.model.theta[:, self.split_.cold_cols]
-            self.model.diagnostics["cold_coverage"] = float(np.mean(cold.any(axis=0)))
+            scored = np.isfinite(cold) & (cold != 0.0)
+            self.model.diagnostics["cold_coverage"] = float(np.mean(scored.any(axis=0)))
 
     def persist_model(self):
         solvers.save_model(self.model, self.model_path)
@@ -504,6 +503,16 @@ class _Pipeline:
         return metrics, model if self.val is self.split_ else None
 
 
+def _require_inputs(cfg, stages):
+    """Raise ConfigError for a data file that one of ``stages`` reads and that is missing."""
+    files = [("interactions file", cfg["data"]["interactions"])] if "load" in stages else []
+    if "featurize" in stages:
+        files += [(f"attribute {s.name!r}: file", s.path) for s in cfg["attributes"]]
+    for what, path in files:
+        if not os.path.exists(path):
+            raise ConfigError(f"{what} not found: {path}")
+
+
 def _run(verb, config_path, seed=None, workers=None, output=None):
     """Run the stages of ``verb`` in order; returns the pipeline.
 
@@ -513,6 +522,7 @@ def _run(verb, config_path, seed=None, workers=None, output=None):
     ALIGNREC_WORKERS fails before any stage runs.
     """
     pipe = _Pipeline(load_config(config_path), seed=seed, workers=workers, output=output)
+    _require_inputs(pipe.cfg, VERB_STAGES[verb])
     marker = os.path.join(pipe.output, "INCOMPLETE")
     if verb in _REFIT_VERBS:
         log.info("grid-search workers: %d", pipe.workers)

@@ -192,6 +192,8 @@ def _load_embeddings_text(path):
                 raise FormatError(
                     f"{path}:{lineno}: vector has width {v.shape[0]}, header says {dim}"
                 )
+            if not np.isfinite(v).all():
+                raise FormatError(f"{path}:{lineno}: non-finite embedding value in {payload!r}")
             if item_id in vecs:
                 raise FormatError(f"{path}:{lineno}: repeated id {item_id!r}")
             vecs[item_id] = v
@@ -202,7 +204,8 @@ def _load_embeddings_binary(path):
     """Read a file written by write_embeddings_binary.
 
     A bad magic, a file that ends early, an id that is not UTF-8 or
-    repeated, or bytes past the last row raise FormatError.
+    repeated, a NaN or infinite value, or bytes past the last row raise
+    FormatError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_EMB_MAGIC))
@@ -216,6 +219,8 @@ def _load_embeddings_binary(path):
                 raise FormatError(f"{path}: repeated id {item_id!r}")
             raw = read_exact(fh, 8 * dim, path)
             vecs[item_id] = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+            if not np.isfinite(vecs[item_id]).all():
+                raise FormatError(f"{path}: non-finite embedding value for id {item_id!r}")
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after the last embedding row")
     return vecs, dim

@@ -78,7 +78,7 @@ def _lu_factor(m):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrf")
     rcond, _ = lapack.dgecon(lu, anorm, norm="1")
-    if rcond < RCOND_FLOOR:
+    if not rcond >= RCOND_FLOOR:  # a NaN rcond (non-finite entries) fails too
         # smallest |U_ii| marks the offending pivot
         pivot = int(np.argmin(np.abs(np.diag(lu))))
         raise SingularMatrixError(

@@ -5,11 +5,18 @@ Two backbones share the aligned-system structure:
 - EASE: one global ridge system with the zero-diagonal constraint folded
   in through a Lagrangian diagonal correction
 - modified SLIM: per-column weighted ridge with a diagonal penalty gamma1
-  instead of the hard constraint, negatives down-weighted by w1
+  instead of the hard constraint, negatives down-weighted by w1. Every
+  column's system is one shared matrix K plus a low-rank term from the
+  users who clicked the item, so K is inverted once and each column takes
+  a Sherman-Morrison-Woodbury step with a small capacitance solve (a
+  closed form when no user clicked it). A column solves its full system
+  directly when the capacitance would be as large as K or fails the rcond
+  check, and every column does when K itself is singular.
 
 Both accept an alignment matrix B whose cross term X^T B lands inside the
 inverted system; that term is non-symmetric, so every solve here uses a
-general pivoted factorization.
+general pivoted factorization. A fit whose weights are not all finite
+raises SolverError.
 """
 
 from __future__ import annotations
@@ -84,6 +91,17 @@ def _feature_item_gram(F):
     return m @ m.T
 
 
+def _check_finite(theta):
+    """Raise SolverError naming the columns of theta that hold NaN or infinity."""
+    bad = np.flatnonzero(~np.isfinite(theta).all(axis=0))
+    if len(bad):
+        raise SolverError(
+            f"{len(bad)} of {theta.shape[1]} columns have non-finite weights "
+            f"(first: column {bad[0]}); check the inputs for NaN or infinity",
+            columns=bad.tolist(),
+        )
+
+
 def fit_ease(X, cfg, F=None, B=None):
     """Closed-form aligned EASE fit.
 
@@ -117,6 +135,7 @@ def fit_ease(X, cfg, F=None, B=None):
     # the correction is applied in place: one n x n buffer fewer at peak
     theta = np.eye(n) - cfg.lambda1 * p
     theta -= p * (np.diag(theta) / dp)[None, :]
+    _check_finite(theta)
     diag_residual = float(np.abs(np.diag(theta)).max())
     np.fill_diagonal(theta, 0.0)
 
@@ -135,20 +154,51 @@ def fit_ease(X, cfg, F=None, B=None):
     )
 
 
-def _mslim_columns(cols, base, Xcsr, Xcsc, Bd, cfg, theta, failures):
-    w_gap = cfg.w0 - cfg.w1
-    n = base.shape[0]
+_ROUTES = ("rank_one", "woodbury", "direct")  # diagnostics count the columns of each
+
+
+def _mslim_columns(cols, k, p, m, q, Xcsr, Xcsc, cfg, theta, route, failures):
+    """Solve the listed columns into ``theta``; ``route[i]`` indexes _ROUTES.
+
+    The clicking users' rows X_i give V_i = X_i M and V_i P = X_i Q, so a
+    Woodbury column needs one sparse product with a dense n x n matrix.
+    """
+    w_gap, shift, n = cfg.w0 - cfg.w1, cfg.lambda1 + cfg.gamma1, k.shape[0]
     for i in cols:
-        a = base.copy()
-        rows = Xcsc.indices[Xcsc.indptr[i] : Xcsc.indptr[i + 1]]
-        if w_gap != 0.0 and len(rows):
-            sub = Xcsr[rows]
-            a += w_gap * (sub.T @ sub).toarray()
-            if Bd is not None:
-                a += w_gap * (sub.T @ Bd[rows])
-        rhs = a[:, i].copy()
-        a[np.arange(n), np.arange(n)] += cfg.lambda1
+        rows = Xcsc.indices[Xcsc.indptr[i]:Xcsc.indptr[i + 1]] if w_gap != 0.0 else ()
+        r = len(rows)
+        xi = Xcsr[rows] if r else None
+        s = None  # S_i^-1 e_i
+        if p is not None and r == 0 and 1.0 + cfg.gamma1 * p[i, i] != 0.0:
+            # S_i = K + gamma1 e_i e_i^T: Sherman-Morrison in closed form
+            s, route[i] = p[:, i] / (1.0 + cfg.gamma1 * p[i, i]), 0
+        elif p is not None and 0 < r < n - 1:
+            # Woodbury with U = [X_i^T, e_i] and W = [w_gap V_i; gamma1 e_i^T]:
+            # S_i^-1 e_i = p - P U (I + W P U)^-1 W p
+            vp = xi @ q
+            cap = np.empty((r + 1, r + 1))
+            cap[:r, :r] = w_gap * (xi @ vp.T).T
+            cap[:r, r] = w_gap * vp[:, i]
+            cap[r] = cfg.gamma1 * np.append(xi @ p[i], p[i, i])
+            wp = cap[:, r].copy()
+            cap.flat[::r + 2] += 1.0
+            try:
+                z = solve_general(cap, wp)
+            except SingularMatrixError:
+                pass  # e.g. a negative update (w1 > w0): solve S_i directly
+            else:
+                s, route[i] = p[:, i] * (1.0 - z[r]) - p @ (xi.T @ z[:r]), 1
+        if s is not None:
+            theta[:, i] = -shift * s
+            theta[i, i] += 1.0
+            continue
+        route[i] = 2
+        a = k.copy()
+        if r:
+            a += w_gap * np.asarray(xi.T @ (xi @ m))
         a[i, i] += cfg.gamma1
+        rhs = a[:, i].copy()
+        rhs[i] -= shift
         try:
             theta[:, i] = solve_general(a, rhs)
         except SingularMatrixError as e:
@@ -158,37 +208,41 @@ def _mslim_columns(cols, base, Xcsr, Xcsc, Bd, cfg, theta, failures):
 def fit_mslim(X, cfg, B=None, workers=1):
     """Per-column weighted ridge fit (modified SLIM).
 
-    Column i solves (X^T W_i X + X^T W_i B + lambda1 I + Gamma_i) t =
-    (X^T W_i X + X^T W_i B)_{.i} with W_i putting w0 on users who clicked
-    item i and w1 elsewhere, and Gamma_i = gamma1 at (i, i) only. The
-    weighted Grams are assembled as w1 * (full Gram) + (w0 - w1) * (Gram
-    over clicking users only). Columns solve independently, so worker
-    count never changes the result.
+    Column i is t = e_i - (lambda1 + gamma1) S_i^-1 e_i, the solution of S_i t
+    = S_i e_i - (lambda1 + gamma1) e_i, where S_i = X^T W_i (X + B) + lambda1 I
+    + gamma1 e_i e_i^T and W_i weights the r_i users who clicked item i by w0,
+    the rest by w1. So S_i = K + (w0 - w1) X_i^T V_i + gamma1 e_i e_i^T with V_i
+    = X_i + B[rows_i] and one shared K = w1 X^T (X + B) + lambda1 I, inverted
+    once. A column with no click update takes a closed form, any other a
+    Woodbury step; S_i is solved directly when r_i + 1 >= n, its capacitance
+    fails the rcond check, or K is singular. Workers never change the result.
     """
     t0 = time.perf_counter()
     Xcsr = sp.csr_matrix(X)
     Xcsc = Xcsr.tocsc()
     n = Xcsr.shape[1]
     g = gram(Xcsr)
-    Bd = None
-    xtb = 0.0
-    if B is not None and B.alpha != 0.0:
-        Bd = B.materialize()
-        xtb = np.asarray(Xcsr.T @ Bd)
-    base = np.ascontiguousarray(cfg.w1 * (g + xtb))
+    aligned = B is not None and B.alpha != 0.0
+    k = cfg.w1 * (g + B.xtb(g)) if aligned else cfg.w1 * g
+    k.flat[::n + 1] += cfg.lambda1
+    m = np.eye(n) + (B.alpha * B.G * B.d[None, :] if aligned else 0.0)  # V_i = X_i M
+    try:
+        p = invert(k)
+    except SingularMatrixError:
+        p = q = None  # every column solves directly; a singular one fails
+    else:
+        q = m @ p if aligned else p
 
     theta = np.zeros((n, n))
+    route = np.zeros(n, dtype=np.int8)
     failures = []
+    args = (k, p, m, q, Xcsr, Xcsc, cfg, theta, route, failures)
     if workers <= 1:
-        _mslim_columns(range(n), base, Xcsr, Xcsc, Bd, cfg, theta, failures)
+        _mslim_columns(range(n), *args)
     else:
         chunks = np.array_split(np.arange(n), workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_mslim_columns, chunk, base, Xcsr, Xcsc,
-                            Bd, cfg, theta, failures)
-                for chunk in chunks if len(chunk)
-            ]
+            futs = [pool.submit(_mslim_columns, chunk, *args) for chunk in chunks if len(chunk)]
             for f in futs:
                 f.result()
     if failures:
@@ -200,7 +254,9 @@ def fit_mslim(X, cfg, B=None, workers=1):
             f"increase lambda1 or gamma1",
             columns=cols,
         )
+    _check_finite(theta)
     diagnostics = {
+        "columns_by_route": dict(zip(_ROUTES, np.bincount(route, minlength=3).tolist())),
         "n_items": int(n),
         "n_users": int(Xcsr.shape[0]),
         "wall_time_s": time.perf_counter() - t0,
@@ -209,7 +265,7 @@ def fit_mslim(X, cfg, B=None, workers=1):
         theta=theta,
         solver="mslim",
         config={"w0": cfg.w0, "w1": cfg.w1, "lambda1": cfg.lambda1,
-                "gamma1": cfg.gamma1, "use_alignment": Bd is not None},
+                "gamma1": cfg.gamma1, "use_alignment": aligned},
         diagnostics=diagnostics,
     )
 

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -92,6 +93,20 @@ def test_main_runs_split_and_prints_outdir(planted_config, capsys):
     printed = capsys.readouterr().out.strip()
     assert printed.endswith("splits")
     assert os.path.exists(os.path.join(printed, "train.csv"))
+
+
+def test_main_evaluate_reads_no_interactions_file(planted_config, caplog, capsys):
+    # evaluate reads splits/ and model.bin only; the verbs that load the
+    # interactions still refuse a missing file before any stage runs
+    path = planted_config()
+    assert main(["fit", "--config", path]) == EXIT_OK
+    data_dir = os.path.join(os.path.dirname(path), "data")
+    os.rename(os.path.join(data_dir, "interactions.csv"), os.path.join(data_dir, "moved.csv"))
+    assert main(["evaluate", "--config", path]) == EXIT_OK
+    caplog.clear()
+    assert main(["split", "--config", path]) == EXIT_CONFIG
+    assert "interactions file not found" in caplog.text and "stage " not in caplog.text
+    capsys.readouterr()
 
 
 def test_main_full_run_then_report(planted_config, capsys):
@@ -304,6 +319,11 @@ _WRITERS = {".tsv": write_embeddings_text, ".bin": write_embeddings_binary,
                  "emb.tsv:3: repeated id 'i00000'", id="text-repeated-id"),
     pytest.param(".tsv", lambda raw: raw.replace(b"\ni", b"\nx"),
                  "emb.tsv: no embedding id matches the dataset items", id="text-no-match"),
+    pytest.param(".tsv", lambda raw: raw.replace(b"\t0.5,", b"\tnan,", 1),
+                 "emb.tsv:2: non-finite embedding value in 'nan,0.5'", id="text-nan"),
+    pytest.param(".bin",
+                 lambda raw: raw.replace(struct.pack("<d", 0.5), struct.pack("<d", np.inf), 1),
+                 "emb.bin: non-finite embedding value for id 'i00000'", id="binary-inf"),
     pytest.param(".bin", lambda raw: raw.replace(b"i00000", b"i\xff0000", 1),
                  "is not UTF-8", id="binary-bad-id"),
     pytest.param(".bin", lambda raw: raw.replace(b"i00001", b"i00000", 1),

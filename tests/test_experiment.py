@@ -67,13 +67,22 @@ def test_load_config_requires_seed(planted_config):
         load_config(path)
 
 
-def test_load_config_requires_existing_interactions(planted_config):
+def test_verbs_require_the_data_files_their_stages_read(planted_config):
     path = planted_config()
     cfg = yaml.safe_load(open(path, encoding="utf-8"))
     cfg["data"]["interactions"] = "nowhere.csv"
     open(path, "w", encoding="utf-8").write(yaml.safe_dump(cfg))
+    load_config(path)  # values only: whether a file exists is the verb's question
     with pytest.raises(ConfigError, match="interactions file not found"):
-        load_config(path)
+        run_split(path)
+    path = planted_config(name="attr")
+    cfg = yaml.safe_load(open(path, encoding="utf-8"))
+    cfg["attributes"][0]["path"] = "nowhere.csv"
+    open(path, "w", encoding="utf-8").write(yaml.safe_dump(cfg))
+    with pytest.raises(ConfigError, match="attribute 'topic': file not found"):
+        run_featurize(path)
+    assert not os.path.exists(os.path.join(os.path.dirname(path), "out"))
+    run_split(path)  # the split never reads the attribute file
 
 
 def _rewrite(path, mutate):
@@ -386,6 +395,41 @@ def test_cold_run_records_cold_coverage(planted_config):
     cold = load_split(os.path.join(outdir, "splits")).cold_cols
     assert coverage == np.count_nonzero(theta[:, cold].any(axis=0)) / len(cold)
     assert coverage > 0  # the alignment term reaches cold items
+
+
+def test_cold_coverage_counts_only_finite_weights(planted_config, monkeypatch):
+    fit = solvers.fit_ease
+    nan_col = []
+
+    def poisoned(X, cfg, **kwargs):
+        # one cold item's column turns all NaN, which scores no item
+        model = fit(X, cfg, **kwargs)
+        nan_col[:] = [int(np.flatnonzero(np.asarray(X.sum(axis=0)).ravel() == 0)[0])]
+        model.theta[:, nan_col[0]] = np.nan
+        return model
+
+    monkeypatch.setattr(solvers, "fit_ease", poisoned)
+    outdir = run_fit(planted_config())
+    with open(os.path.join(outdir, "model.bin.json"), encoding="utf-8") as fh:
+        coverage = json.load(fh)["diagnostics"]["cold_coverage"]
+    cold = load_split(os.path.join(outdir, "splits")).cold_cols
+    theta = load_model(os.path.join(outdir, "model.bin")).theta[:, cold]
+    assert nan_col[0] in cold
+    assert coverage == np.count_nonzero((np.isfinite(theta) & (theta != 0)).any(axis=0)) / len(cold)
+    assert coverage < 1.0
+
+
+def test_cold_mslim_run_records_its_column_routes(planted_config):
+    # 150 users over 30 items: cold columns take the closed form, and the most
+    # clicked items have r_i + 1 >= n, so they are solved directly
+    outdir = run_experiment(planted_config(solver="mslim", n_items=30, clicks=(3, 8)))
+    with open(os.path.join(outdir, "model.bin.json"), encoding="utf-8") as fh:
+        routes = json.load(fh)["diagnostics"]["columns_by_route"]
+    r = np.diff(load_split(os.path.join(outdir, "splits")).train.X.tocsc().indptr)
+    n = len(r)
+    assert routes == {"direct": int((r + 1 >= n).sum()), "rank_one": int((r == 0).sum()),
+                      "woodbury": int(((r > 0) & (r + 1 < n)).sum())}
+    assert min(routes.values()) > 0
 
 
 def test_run_experiment_selects_nonzero_ridge_over_overfit(tmp_path):

@@ -93,6 +93,14 @@ def test_near_singular_matrix_trips_rcond_floor():
         solve_general(m, np.ones(2))
 
 
+def test_nan_matrix_trips_rcond_floor():
+    # dgecon gives a NaN rcond here, which must fail the floor as a small one does
+    m = np.eye(3)
+    m[0, 1] = np.nan
+    with pytest.raises(SingularMatrixError, match="rcond"):
+        solve_general(m, np.ones(3))
+
+
 def test_invert_matches_numpy():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((6, 6)) + 6 * np.eye(6)

@@ -5,6 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignrec import (
     AlignmentConfig,
@@ -22,6 +24,8 @@ from alignrec import (
     predict,
     save_model,
 )
+from alignrec.errors import SingularMatrixError
+from alignrec.linalg import solve_general
 from alignrec.solvers import popularity_scores, random_scores
 
 
@@ -164,6 +168,21 @@ def test_ease_reports_degenerate_inverse_diagonal():
     assert excinfo.value.columns == [0, 1]
 
 
+@pytest.mark.parametrize("fit", [lambda X, B: fit_ease(X, EaseConfig(lambda1=1.0), B=B),
+                                 lambda X, B: fit_mslim(X, MslimConfig(lambda1=1.0), B=B)],
+                         ids=["ease", "mslim"])
+def test_non_finite_alignment_is_a_solver_error(fit):
+    # a NaN decay weight (beta = inf gives inf * 0) makes X^T B NaN; no fit may
+    # return NaN weights
+    rng = np.random.default_rng(15)
+    X = _random_clicks(rng, 20, 6)
+    d = np.ones(6)
+    d[2] = np.nan
+    B = align(X, np.abs(rng.standard_normal((6, 6))), AlignmentConfig(alpha=1.0), d=d)
+    with pytest.raises(SolverError):
+        fit(X, B)
+
+
 def test_ease_config_validation():
     with pytest.raises(ValueError, match="lambda1"):
         EaseConfig(lambda1=0.0)
@@ -239,6 +258,97 @@ def test_mslim_collects_singular_columns():
     with pytest.raises(SolverError, match="increase lambda1 or gamma1") as excinfo:
         fit_mslim(X, MslimConfig(w1=1.0, lambda1=0.0, gamma1=0.0))
     assert excinfo.value.columns == [0, 1]
+
+
+def _mslim_case(seed, n_items, dense, cold, w1, gamma1, alignment):
+    """A random clicks matrix with its cold columns emptied, an MslimConfig and B."""
+    rng = np.random.default_rng(seed)
+    n_users = int(rng.integers(n_items, 3 * n_items + 1))
+    X = _random_clicks(rng, n_users, n_items, density=0.9 if dense else 0.35).toarray()
+    n_cold = {"none": 0, "some": max(1, n_items // 3), "all-but-one": n_items - 1}[cold]
+    X[:, rng.permutation(n_items)[:n_cold]] = 0.0
+    X = sp.csr_matrix(X)
+    cfg = MslimConfig(w1=w1, lambda1=float(rng.uniform(0.5, 3.0)), gamma1=gamma1)
+    B = None
+    if alignment != "none":
+        raw = np.abs(rng.standard_normal((n_items, n_items)))
+        # "warm-d" puts the decay weight on clicked items too, "cold-d" only on unclicked ones
+        clicked = np.asarray(X.sum(axis=0)).ravel() > 0
+        d = rng.uniform(0.1, 2.0, size=n_items) * (1.0 if alignment == "warm-d" else ~clicked)
+        B = align(X, 0.5 * (raw + raw.T), AlignmentConfig(alpha=0.0 if alignment == "alpha0"
+                                                            else 0.7), d=d)
+    return X, cfg, B
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(2, 10), dense=st.booleans(),
+       cold=st.sampled_from(["none", "some", "all-but-one"]),
+       w1=st.sampled_from([0.0, 0.4, 1.0, 1.7]), gamma1=st.sampled_from([0.0, 2.5]),
+       alignment=st.sampled_from(["none", "alpha0", "cold-d", "warm-d"]))
+@settings(max_examples=120, deadline=None)
+def test_mslim_routes_match_the_direct_solve(seed, n_items, dense, cold, w1, gamma1,
+                                             alignment):
+    # w1 = 1.7 > w0 is a negative update; a dense X gives r_i + 1 >= n columns
+    X, cfg, B = _mslim_case(seed, n_items, dense, cold, w1, gamma1, alignment)
+    model = fit_mslim(X, cfg, B=B)
+    Bd = None if B is None else B.materialize()
+    expected = _brute_mslim(X, cfg, Bd=Bd)
+    assert np.abs(model.theta - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
+    r = np.diff(X.tocsc().indptr) if cfg.w0 != cfg.w1 else np.zeros(n_items, dtype=int)
+    routes = model.diagnostics["columns_by_route"]
+    assert routes["rank_one"] == int((r == 0).sum())
+    assert routes["woodbury"] + routes["direct"] == int((r > 0).sum())
+    assert routes["direct"] >= int(((r > 0) & (r + 1 >= n_items)).sum())
+
+
+def test_mslim_failed_capacitance_solves_the_column_directly(monkeypatch):
+    # every capacitance system fails its rcond check, as a negative update can make it
+    from alignrec import solvers
+
+    def no_small_solves(m, rhs):
+        if m.shape[0] < n:
+            raise SingularMatrixError("forced", pivot=0)
+        return solve_general(m, rhs)
+
+    X, cfg, B = _mslim_case(4, 9, False, "some", 1.7, 2.5, "warm-d")
+    n = X.shape[1]
+    monkeypatch.setattr(solvers, "solve_general", no_small_solves)
+    model = fit_mslim(X, cfg, B=B)
+    r = np.diff(X.tocsc().indptr)
+    assert model.diagnostics["columns_by_route"] == {
+        "rank_one": int((r == 0).sum()), "woodbury": 0, "direct": int((r > 0).sum())}
+    expected = _brute_mslim(X, cfg, Bd=B.materialize())
+    assert np.abs(model.theta - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
+
+
+def _direct_singular_columns(X, cfg, Bd=None):
+    """The columns whose assembled n x n system fails the LU's rcond check."""
+    Xd = X.toarray()
+    bad = []
+    for i in range(Xd.shape[1]):
+        w = np.where(Xd[:, i] > 0, cfg.w0, cfg.w1)
+        a = Xd.T @ (w[:, None] * (Xd if Bd is None else Xd + Bd))
+        a += cfg.lambda1 * np.eye(len(a))
+        a[i, i] += cfg.gamma1
+        try:
+            solve_general(a, a[:, i])
+        except SingularMatrixError:
+            bad.append(i)
+    return bad
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(2, 8),
+       cold=st.sampled_from(["some", "all-but-one"]), gamma1=st.sampled_from([0.0, 2.5]),
+       alignment=st.sampled_from(["none", "cold-d", "warm-d"]))
+@settings(max_examples=40, deadline=None)
+def test_mslim_zero_lambda_with_cold_items_names_the_singular_columns(
+        seed, n_items, cold, gamma1, alignment):
+    X, cfg, B = _mslim_case(seed, n_items, False, cold, 0.4, gamma1, alignment)
+    cfg.lambda1 = 0.0
+    expected = _direct_singular_columns(X, cfg, None if B is None else B.materialize())
+    assert expected
+    with pytest.raises(SolverError, match="increase lambda1 or gamma1") as excinfo:
+        fit_mslim(X, cfg, B=B)
+    assert excinfo.value.columns == expected
 
 
 def test_mslim_config_validation():
