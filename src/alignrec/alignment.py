@@ -155,28 +155,27 @@ def mix_similarities(blocks, mu):
     return out
 
 
-def fit_mix_coefficients(blocks, X_train, validation, grid, k=10):
+def fit_mix_coefficients(blocks, X_train, validation, grid):
     """Pick the grid point whose metadata-only scores rank validation best.
 
-    Scores are X_train @ G_mixed, judged by the ndcg@k that
-    evaluation.validation_metrics gives on ``validation`` (a cold or a warm
-    split). Ties prefer fewer nonzero coefficients, then earlier grid
-    position. A one-point grid is returned without scoring.
+    Scores are X_train @ G_mixed, judged by the first evaluation.SELECTION
+    metric that evaluation.validation_metrics gives on ``validation`` (a
+    cold or a warm split). Ties prefer fewer nonzero coefficients, then
+    earlier grid position. A one-point grid is returned without scoring.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("empty coefficient grid")
     if len(grid) == 1:
         return grid[0]
-    best = None
+    metric, best = evaluation.SELECTION[0], None
     for idx, mu in enumerate(grid):
         scores = np.asarray(X_train @ mix_similarities(blocks, mu))
-        ndcg = evaluation.validation_metrics(scores, validation, k)[f"ndcg@{k}"]
-        key = (ndcg, -mu.nnz)
+        key = (evaluation.validation_metrics(scores, validation)[metric], -mu.nnz)
         if best is None or key > best[0]:
             best = (key, idx, mu)
-    log.info("mix grid: picked point %d of %d (ndcg@%d=%.4f)",
-             best[1], len(grid), k, best[0][0])
+    log.info("mix grid: picked point %d of %d (%s=%.4f)",
+             best[1], len(grid), metric, best[0][0])
     return best[2]
 
 

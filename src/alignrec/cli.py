@@ -2,8 +2,8 @@
 
 Verbs: split, featurize, fit, evaluate, run, report. Exit codes: 0 on
 success, 2 for configuration problems, 3 for data/file problems, 4 for
-numerical failures. For fit and run, ALIGNREC_WORKERS overrides the
-config worker count and the --workers flag overrides both.
+numerical failures. For fit and run, the --workers flag overrides the
+config worker count; both must be positive integers.
 """
 
 from __future__ import annotations

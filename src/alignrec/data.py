@@ -66,10 +66,6 @@ class Dataset:
         return len(self.item_ids)
 
     @cached_property
-    def user_index(self):
-        return {u: i for i, u in enumerate(self.user_ids)}
-
-    @cached_property
     def item_index(self):
         return {it: j for j, it in enumerate(self.item_ids)}
 
@@ -143,34 +139,38 @@ def load_interactions(path, format="csv", binarize_threshold=0.5):
                 f"{path}: header must be user,item,value[,timestamp], got {header}"
             )
         has_ts = len(header) == 4
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", line_number=lineno
-                )
-            user, item = row[0].strip(), row[1].strip()
-            if not user or not item:
-                raise ParseError("empty user or item id", line_number=lineno)
-            try:
-                value = float(row[2])
-            except ValueError:
-                raise ParseError(f"bad value {row[2]!r}", line_number=lineno) from None
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite value {row[2]!r}", line_number=lineno)
-            ts = 0
-            if has_ts:
-                try:
-                    ts = _timestamp(row[3])
-                except ValueError:
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
                     raise ParseError(
-                        f"bad timestamp {row[3]!r}", line_number=lineno
-                    ) from None
-            if value >= binarize_threshold:
-                users.append(user)
-                items.append(item)
-                stamps.append(ts)
+                        f"expected {len(header)} fields, got {len(row)}", line_number=lineno
+                    )
+                user, item = row[0].strip(), row[1].strip()
+                if not user or not item:
+                    raise ParseError("empty user or item id", line_number=lineno)
+                try:
+                    value = float(row[2])
+                except ValueError:
+                    raise ParseError(f"bad value {row[2]!r}", line_number=lineno) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite value {row[2]!r}", line_number=lineno)
+                ts = 0
+                if has_ts:
+                    try:
+                        ts = _timestamp(row[3])
+                    except ValueError:
+                        raise ParseError(
+                            f"bad timestamp {row[3]!r}", line_number=lineno
+                        ) from None
+                if value >= binarize_threshold:
+                    users.append(user)
+                    items.append(item)
+                    stamps.append(ts)
+        except ParseError as e:
+            e.args = (f"{path}: {e}",)  # name the file; line_number stays
+            raise
     if not users:
         raise EmptyDatasetError(f"{path}: no interactions at threshold {binarize_threshold}")
 
@@ -430,15 +430,20 @@ def save_warm_split(split, outdir):
 def _read_pairs_csv(path, umap, imap):
     """Read a file written by _write_pairs_csv back into pairs and timestamps.
 
-    ``umap``/``imap`` map ids to rows and columns. A row of the wrong width,
-    an unknown id, a repeated (user, item) pair or a bad timestamp raises
-    FormatError naming the line.
+    ``umap``/``imap`` map ids to rows and columns. A header other than
+    user,item[,value][,timestamp] (an empty file included), a row of the
+    wrong width, an unknown id, a repeated (user, item) pair or a bad
+    timestamp raises FormatError naming the line.
     """
     users, items, stamps, seen = [], [], [], set()
     with open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        has_ts = len(header) == 4
+        if header[:2] != ["user", "item"] or header[2:] not in (
+                [], ["value"], ["timestamp"], ["value", "timestamp"]):
+            raise FormatError(
+                f"{path}:1: header must be user,item[,value][,timestamp], got {header}")
+        has_ts = header[-1] == "timestamp"
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -455,9 +460,9 @@ def _read_pairs_csv(path, umap, imap):
             items.append(it)
             if has_ts:
                 try:
-                    stamps.append(_timestamp(row[3]))
+                    stamps.append(_timestamp(row[-1]))
                 except ValueError:
-                    raise FormatError(f"{path}:{lineno}: bad timestamp {row[3]!r}") from None
+                    raise FormatError(f"{path}:{lineno}: bad timestamp {row[-1]!r}") from None
     pairs = np.column_stack([np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)])
     return pairs, np.array(stamps, dtype=np.int64) if has_ts else None
 

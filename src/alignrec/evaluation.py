@@ -27,6 +27,11 @@ log = logging.getLogger(__name__)
 SCENARIOS = ("cold", "warm", "all", "leave_one_out")
 METRICS = ("hr", "ndcg")
 
+# model selection compares these validation metrics in this order; mix
+# selection reads the first, the solver grid search all of them
+_SELECTION_K = 10
+SELECTION = (f"ndcg@{_SELECTION_K}", f"hr@{_SELECTION_K}")
+
 
 @dataclass
 class RankedList:
@@ -253,12 +258,13 @@ def validation_scenario(split):
     return ("cold" if len(split.cold_val) else "all"), "val"
 
 
-def validation_metrics(scores, split, k):
-    """ndcg@k and hr@k on the validation target: the one scorer of mix
-    selection and the solver grid search."""
+def validation_metrics(scores, split):
+    """The SELECTION metrics on the validation target, keyed like SELECTION:
+    the one scorer of mix selection and the solver grid search."""
     scenario, use = validation_scenario(split)
-    rep = evaluate_scenario(scores, split, scenario, ks=(k,), use=use, with_ci=False)
-    return {f"{m}@{k}": rep.metric(m, k).mean for m in ("ndcg", "hr")}
+    rep = evaluate_scenario(scores, split, scenario, ks=(_SELECTION_K,), use=use,
+                            with_ci=False)
+    return {f"{m.name}@{m.k}": m.mean for m in rep.metrics}
 
 
 def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=METRICS,

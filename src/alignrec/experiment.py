@@ -20,7 +20,6 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import cached_property
 
 import numpy as np
 import yaml
@@ -29,10 +28,6 @@ from . import alignment, data, evaluation, features, solvers
 from .errors import ConfigError, FormatError, SingularMatrixError, SolverError, StageError
 
 log = logging.getLogger(__name__)
-
-WORKERS_ENV = "ALIGNREC_WORKERS"
-
-_SELECT_K = 10
 
 _REQUIRED = object()  # the config must give the key
 _OPTIONAL = object()  # the key has no default; when absent it stays absent
@@ -52,7 +47,7 @@ _SCHEMA = {
     "solver": {"name": "ease", "grid": {}},
     # solver name -> the keys its grid may sweep; a key left out is not swept
     "solver.grid": {"ease": ("lambda0", "lambda1", "alpha"),
-                    "mslim": ("w1", "lambda1", "gamma1", "alpha"), "itemknn": ("alpha",)},
+                    "mslim": ("w1", "lambda1", "gamma1", "alpha"), "itemknn": ()},
     # scenarios: the protocol's own, filled in by load_config
     "evaluation": {"metrics": list(evaluation.METRICS), "ks": [10], "scenarios": _OPTIONAL,
                    "resamples": 500, "fraction": 0.20},
@@ -68,7 +63,8 @@ def _section(raw, where, schema):
     _check(isinstance(raw, dict), where, raw, "a mapping")
     for key in raw:
         if key not in schema:
-            raise ConfigError(f"key {key!r} not valid for {where} (valid: {', '.join(schema)})")
+            raise ConfigError(f"key {key!r} not valid for {where} "
+                              f"(valid: {', '.join(schema) or 'none'})")
     for key, default in schema.items():
         if key not in raw and default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r} in {where}")
@@ -117,7 +113,7 @@ def load_config(path):
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p, where):
-        _check(isinstance(p, str), where, p, "a path")
+        _check(isinstance(p, str) and p, where, p, "a path")
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     cfg = _section(raw, "config", _SCHEMA["config"])
@@ -127,8 +123,8 @@ def load_config(path):
                                                      "evaluation"))
     _check(type(cfg["seed"]) is int, "seed", cfg["seed"], "an integer")
     _check(_positive_int(cfg["workers"]), "workers", cfg["workers"], "a positive integer")
-    _check(cfg["output"] is None or isinstance(cfg["output"], str), "output", cfg["output"],
-           "a path")
+    if cfg["output"] is not None:
+        cfg["output"] = resolve(cfg["output"], "output")
 
     dat["interactions"] = resolve(dat["interactions"], "data.interactions")
     _check(dat["format"] in data._DELIMITERS, "data.format", dat["format"], "csv or tsv")
@@ -229,10 +225,10 @@ def grid_search(points, evaluate_point, workers=1):
     """Fit and score every grid point; returns (point, index, trace, fitted).
 
     evaluate_point(point) must return (metrics, fitted), metrics holding
-    ndcg@10 and hr@10. Selection maximizes (ndcg@10, hr@10), then the
-    earlier index, in any finish order; only the running best's fitted is
-    kept. Points that raise a numerical error are recorded as failed and
-    skipped; if everything fails, the errors are aggregated.
+    every evaluation.SELECTION metric. Selection maximizes those metrics in
+    order, then the earlier index, in any finish order; only the running
+    best's fitted is kept. Points that raise a numerical error are recorded
+    as failed and skipped; if everything fails, the errors are aggregated.
     """
     points = list(points)
     if not points:
@@ -250,7 +246,7 @@ def grid_search(points, evaluate_point, workers=1):
             row["status"] = "failed"
             row["error"] = str(e)
         else:
-            key = (row["metrics"]["ndcg@10"], row["metrics"]["hr@10"], -idx)
+            key = (*(row["metrics"][m] for m in evaluation.SELECTION), -idx)
             with lock:
                 if not best or key > best["key"]:
                     best.update(key=key, index=idx, fitted=fitted)
@@ -276,14 +272,14 @@ def write_trace_csv(trace, path):
                 param_keys.append(k)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["index"] + param_keys + ["ndcg@10", "hr@10", "wall_time_s", "status", "error"])
+        w.writerow(["index", *param_keys, *evaluation.SELECTION, "wall_time_s", "status",
+                    "error"])
         for row in trace:
-            m = row["metrics"]
             w.writerow(
                 [row["index"]]
                 + [repr(row["params"].get(k, "")) for k in param_keys]
-                + [repr(m.get("ndcg@10", "")), repr(m.get("hr@10", "")),
-                   f"{row['wall_time_s']:.6f}", row["status"], row["error"]]
+                + [repr(row["metrics"].get(m, "")) for m in evaluation.SELECTION]
+                + [f"{row['wall_time_s']:.6f}", row["status"], row["error"]]
             )
 
 
@@ -306,7 +302,8 @@ class _Pipeline:
     def __init__(self, cfg, seed=None, workers=None, output=None):
         self.cfg = cfg
         self.seed = cfg["seed"] if seed is None else int(seed)
-        self._workers = workers
+        self.workers = cfg["workers"] if workers is None else workers
+        _check(_positive_int(self.workers), "workers", self.workers, "a positive integer")
         out = output or cfg["output"]
         if not out:
             raise ConfigError("an output directory is required (--output or config output)")
@@ -317,22 +314,6 @@ class _Pipeline:
         self.report_paths = {}
         self.protocol = cfg["split"]["protocol"]
         self.acfg = cfg["_alignment"]
-
-    @cached_property
-    def workers(self):
-        """Grid-search workers: the argument, else $ALIGNREC_WORKERS, else the config.
-
-        Resolved on first use, so the verbs without a grid search never read it.
-        """
-        if self._workers is not None:
-            return int(self._workers)
-        raw = os.environ.get(WORKERS_ENV)
-        if raw is None:
-            return self.cfg["workers"]
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
 
     def _stage(self, name):
         """Run one stage, log its wall time, and tag any failure with it."""
@@ -397,8 +378,7 @@ class _Pipeline:
             )
             self.val_d = alignment.popularity_regularizer(self.val.train.X, self.acfg)
         grid = self.cfg["alignment"]["mu_grid"]
-        self.mu = alignment.fit_mix_coefficients(
-            self.sims, self.val.train.X, self.val, grid, k=_SELECT_K)
+        self.mu = alignment.fit_mix_coefficients(self.sims, self.val.train.X, self.val, grid)
         self.G = alignment.mix_similarities(self.sims, self.mu)
 
     def grid_search(self):
@@ -443,11 +423,12 @@ class _Pipeline:
     def evaluate(self):
         ev = self.cfg["evaluation"]
         scores = solvers.predict(self.model, self.split_.train.X)
+        # the bootstrap takes the split's own seed, so evaluate repeats run's reports
         self.reports = {
             scenario: evaluation.evaluate_scenario(
                 scores, self.split_, scenario, ks=tuple(ev["ks"]),
                 metrics=tuple(ev["metrics"]), use="test", with_ci=True,
-                resamples=ev["resamples"], fraction=ev["fraction"], seed=self.seed,
+                resamples=ev["resamples"], fraction=ev["fraction"],
             )
             for scenario in ev["scenarios"]
         }
@@ -499,7 +480,7 @@ class _Pipeline:
         """(metrics, model) of one grid point; the model only if fitted on the run's split."""
         X = self.val.train.X
         model = self._fit_point(X, self.val_d, point)
-        metrics = evaluation.validation_metrics(solvers.predict(model, X), self.val, _SELECT_K)
+        metrics = evaluation.validation_metrics(solvers.predict(model, X), self.val)
         return metrics, model if self.val is self.split_ else None
 
 
@@ -518,8 +499,7 @@ def _run(verb, config_path, seed=None, workers=None, output=None):
 
     The verbs that refit hold an INCOMPLETE marker in the output directory
     from before their first stage until after their last, so a failed run
-    leaves it behind. They resolve the worker count first, so a bad
-    ALIGNREC_WORKERS fails before any stage runs.
+    leaves it behind.
     """
     pipe = _Pipeline(load_config(config_path), seed=seed, workers=workers, output=output)
     _require_inputs(pipe.cfg, VERB_STAGES[verb])

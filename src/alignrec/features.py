@@ -40,7 +40,7 @@ class AttributeSpec:
 
     name: str
     kind: str
-    path: str | None = None
+    path: str
     vocab_size: int = 1000
 
     def __post_init__(self):
@@ -346,8 +346,7 @@ def build_feature_set(specs, item_index, base_dir="."):
     """Encode every attribute spec against one item index."""
     blocks = []
     for spec in specs:
-        path = spec.path if spec.path is None or os.path.isabs(spec.path) \
-            else os.path.join(base_dir, spec.path)
+        path = os.path.join(base_dir, spec.path)
         if spec.kind == "embedding_file":
             blocks.append(load_embedding_block(path, item_index, name=spec.name))
             continue

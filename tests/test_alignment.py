@@ -133,7 +133,7 @@ def test_fit_mix_prefers_predictive_attribute():
         MixCoefficients([1.0, 1.0], [0.0]),
         MixCoefficients([1.0, 1.0], [1.0]),
     ]
-    picked = fit_mix_coefficients(sims, split.train.X, split, grid, k=10)
+    picked = fit_mix_coefficients(sims, split.train.X, split, grid)
     np.testing.assert_array_equal(picked.first_order, [1.0, 0.0])
     np.testing.assert_array_equal(picked.second_order, [0.0])
 
@@ -144,7 +144,7 @@ def test_fit_mix_breaks_metric_ties_toward_fewer_nonzeros():
     g = smoothed_cosine(multihot_encode([[f"t{j % 4}"] for j in range(40)]), delta=0.5)
     # identical mixed matrices, so the metric ties exactly
     grid = [MixCoefficients([1.0, 1.0], [0.0]), MixCoefficients([2.0, 0.0], [0.0])]
-    picked = fit_mix_coefficients([g, g], split.train.X, split, grid, k=10)
+    picked = fit_mix_coefficients([g, g], split.train.X, split, grid)
     np.testing.assert_array_equal(picked.first_order, [2.0, 0.0])
 
 
@@ -154,7 +154,7 @@ def test_fit_mix_keeps_earlier_point_on_full_tie():
     g = smoothed_cosine(multihot_encode([[f"t{j % 4}"] for j in range(40)]), delta=0.5)
     # scaling scores never reorders them, so both points tie at equal nnz
     grid = [MixCoefficients([2.0]), MixCoefficients([4.0])]
-    picked = fit_mix_coefficients([g], split.train.X, split, grid, k=10)
+    picked = fit_mix_coefficients([g], split.train.X, split, grid)
     assert picked.first_order[0] == 2.0
 
 
@@ -162,7 +162,7 @@ def test_fit_mix_rejects_empty_grid():
     dataset, _ = planted_dataset(n_users=120, n_items=40, n_topics=4, seed=11)
     split = make_cold_split(dataset, seed=11)
     with pytest.raises(ValueError, match="empty"):
-        fit_mix_coefficients([np.eye(40)], split.train.X, split, [], k=10)
+        fit_mix_coefficients([np.eye(40)], split.train.X, split, [])
 
 
 # ------------------------------------------------------------- popularity

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import shutil
 import struct
 
@@ -165,14 +166,44 @@ def test_main_numerical_failure_exit_and_marker(tmp_path):
     assert os.path.exists(tmp_path / "out" / "INCOMPLETE")
 
 
-def test_main_workers_flag_beats_env(planted_config, monkeypatch, capsys):
-    monkeypatch.setenv("ALIGNREC_WORKERS", "not-a-number")
+@pytest.mark.parametrize("verb", ["fit", "run"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_main_bad_workers_flag_fails_before_any_stage(planted_config, caplog, verb, workers):
     path = planted_config()
-    # a broken env var is a config error when consulted
-    assert main(["fit", "--config", path]) == EXIT_CONFIG
-    monkeypatch.setenv("ALIGNREC_WORKERS", "2")
-    assert main(["fit", "--config", path, "--workers", "1"]) == EXIT_OK
+    assert main([verb, "--config", path, "--workers", workers]) == EXIT_CONFIG
+    assert f"workers must be a positive integer, got {workers}" in caplog.text
+    assert "stage " not in caplog.text
+    assert not os.path.exists(os.path.join(os.path.dirname(path), "out"))
+
+
+def test_main_evaluate_reproduces_a_seeded_runs_reports(planted_config, capsys):
+    # the reports bootstrap with the split's seed, not the config's
+    path = planted_config(seed=7)
+    assert main(["run", "--config", path, "--seed", "3"]) == EXIT_OK
+    outdir = capsys.readouterr().out.strip()
+    names = sorted(n for n in os.listdir(outdir) if n.startswith("report_"))
+    assert len(names) == 6
+    before = {n: pathlib.Path(outdir, n).read_bytes() for n in names}
+    assert main(["evaluate", "--config", path]) == EXIT_OK
     capsys.readouterr()
+    assert {n: pathlib.Path(outdir, n).read_bytes() for n in names} == before
+
+
+def test_main_relative_output_resolves_against_the_config(planted_config, tmp_path,
+                                                          monkeypatch, capsys):
+    path = planted_config()
+    with open(path, encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["output"] = "rel-out"
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(cfg, fh)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["split", "--config", path]) == EXIT_OK
+    capsys.readouterr()
+    assert os.path.isdir(os.path.join(os.path.dirname(path), "rel-out", "splits"))
+    assert os.listdir(elsewhere) == []
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -253,19 +284,19 @@ def test_main_verbs_without_workers_ignore_workers_env(planted_config, monkeypat
     capsys.readouterr()
 
 
-def test_main_bad_workers_env_fails_run_before_any_stage(planted_config, monkeypatch, caplog):
-    monkeypatch.setenv("ALIGNREC_WORKERS", "many")
+def test_main_interactions_parse_error_names_the_file(planted_config, caplog):
     path = planted_config()
-    assert main(["run", "--config", path]) == EXIT_CONFIG
-    assert "ALIGNREC_WORKERS must be an integer, got 'many'" in caplog.text
-    assert "stage " not in caplog.text
+    data = os.path.join(os.path.dirname(path), "data", "interactions.csv")
+    _edit_lines(data, lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:])
+    assert main(["split", "--config", path]) == EXIT_DATA
+    assert f"{data}: line 3: expected 4 fields, got 3" in caplog.text
 
 
 def _edit_lines(path, edit):
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(edit(lines)) + "\n")
+        fh.write("".join(line + "\n" for line in edit(lines)))
 
 
 def _unused_negative(lines):
@@ -290,6 +321,12 @@ def _unused_negative(lines):
                  "negatives file must hold 20 rows per user", id="extra-negative"),
     pytest.param("warm", "negatives.csv", lambda lines: lines + [lines[1]],
                  "repeated pair", id="repeated-negative"),
+    pytest.param("cold", "train.csv", lambda lines: [],
+                 "train.csv:1: header must be user,item[,value][,timestamp], got []",
+                 id="empty-train"),
+    pytest.param("cold", "train.csv", lambda lines: ["a,b,c,d"] + lines[1:],
+                 "train.csv:1: header must be user,item[,value][,timestamp], "
+                 "got ['a', 'b', 'c', 'd']", id="foreign-header"),
 ])
 def test_main_evaluate_corrupt_split_is_a_data_error(planted_config, capsys, caplog,
                                                      protocol, name, edit, message):
@@ -415,6 +452,8 @@ def test_main_non_utf8_data_is_a_data_error(planted_config, capsys, caplog,
     pytest.param(lambda c: c.update(sed=3), "key 'sed' not valid for config", id="top-typo"),
     pytest.param(lambda c: c.update(workers=0), "workers must be a positive integer, got 0",
                  id="zero-workers"),
+    pytest.param(lambda c: c["solver"].update(name="itemknn", grid={"alpha": [0.5, 2.0]}),
+                 "key 'alpha' not valid for itemknn grid (valid: none)", id="itemknn-alpha"),
     pytest.param(lambda c: c.update(output=5), "output must be a path, got 5", id="bad-output"),
     pytest.param(lambda c: c["data"].update(format="parquet"),
                  "data.format must be csv or tsv, got 'parquet'", id="unknown-format"),

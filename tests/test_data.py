@@ -47,7 +47,6 @@ def test_load_indexes_ids_in_first_appearance_order(tmp_path):
     d = load_interactions(p)
     assert d.user_ids == ("z", "a") and d.item_ids == ("j", "i")
     np.testing.assert_array_equal(d.interactions, [[0, 0], [1, 1], [0, 1]])
-    assert d.user_index == {"z": 0, "a": 1}
     assert d.item_index == {"j": 0, "i": 1}
 
 
@@ -105,8 +104,9 @@ def test_load_rejects_empty_file(tmp_path):
 
 def test_load_reports_line_number_for_bad_field_count(tmp_path):
     p = _write(tmp_path / "x.csv", "user,item,value\na,i,1\nb,j\n")
-    with pytest.raises(ParseError, match="line 3"):
+    with pytest.raises(ParseError, match="line 3") as err:
         load_interactions(p)
+    assert err.value.line_number == 3 and str(err.value).startswith(f"{p}: line 3: ")
 
 
 def test_load_reports_bad_value(tmp_path):

@@ -14,7 +14,8 @@ import pytest
 import yaml
 
 from alignrec import ConfigError, SolverError, grid_search, load_config, run_experiment
-from alignrec import data, evaluation, solvers, synthetic
+from alignrec import alignment, data, evaluation, features, solvers, synthetic
+from alignrec.cli import main
 from alignrec.errors import StageError
 from alignrec.features import write_embeddings_text
 from alignrec.experiment import (
@@ -156,7 +157,8 @@ def test_readme_config_block_matches_the_schema(tmp_path):
     assert set().union(*shown["attributes"]) == set(_SCHEMA["attributes[]"])
     assert set().union(*shown["alignment"]["mu_grid"]) == set(_SCHEMA["alignment.mu_grid[]"])
     grid_comments = re.findall(r"# (ease|mslim|itemknn): (.+)", block)
-    grid_keys = {name: tuple(keys.split(", ")) for name, keys in grid_comments}
+    grid_keys = {name: () if keys.startswith("none") else tuple(keys.split(", "))
+                 for name, keys in grid_comments}
     assert grid_keys == _SCHEMA["solver.grid"]
 
     # the block loads as written once its relative data paths exist
@@ -191,13 +193,21 @@ def test_load_config_rejects_unknown_scenario(planted_config):
         load_config(path)
 
 
-def test_workers_precedence_flag_env_config(planted_config, monkeypatch):
+def test_workers_precedence_flag_config(planted_config, monkeypatch):
     cfg = load_config(planted_config(workers=5))
-    monkeypatch.delenv("ALIGNREC_WORKERS", raising=False)
+    monkeypatch.setenv("ALIGNREC_WORKERS", "3")  # no longer a source
     assert _Pipeline(cfg).workers == 5
-    monkeypatch.setenv("ALIGNREC_WORKERS", "3")
-    assert _Pipeline(cfg).workers == 3
     assert _Pipeline(cfg, workers=2).workers == 2
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_experiment_refuses_a_bad_worker_count_before_any_stage(planted_config, caplog,
+                                                                    workers):
+    path = planted_config()
+    with pytest.raises(ConfigError, match=f"workers must be a positive integer, got {workers}"):
+        run_experiment(path, workers=workers)
+    assert "stage " not in caplog.text
+    assert not os.path.exists(os.path.join(os.path.dirname(path), "out"))
 
 
 def test_pipeline_requires_output(planted_config):
@@ -430,6 +440,23 @@ def test_cold_mslim_run_records_its_column_routes(planted_config):
     assert routes == {"direct": int((r + 1 >= n).sum()), "rank_one": int((r == 0).sum()),
                       "woodbury": int(((r > 0) & (r + 1 < n)).sum())}
     assert min(routes.values()) > 0
+
+
+def test_cold_itemknn_run_stores_the_mixed_similarity(planted_config):
+    path = planted_config(solver="itemknn", grid={})
+    assert main(["run", "--config", path]) == 0
+    cfg = load_config(path)
+    outdir = cfg["output"]
+    dataset = data.load_interactions(cfg["data"]["interactions"])
+    blocks = features.build_feature_set(cfg["attributes"], dataset.item_index).blocks
+    sims = [alignment.smoothed_cosine(b, cfg["_alignment"].delta) for b in blocks]
+    G = alignment.mix_similarities(sims, cfg["alignment"]["mu_grid"][0])
+    theta = load_model(os.path.join(outdir, "model.bin")).theta
+    assert theta.dtype == G.dtype and theta.tobytes() == G.tobytes()
+    with open(os.path.join(outdir, "model.bin.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["solver"] == "itemknn"
+    for scenario in ("cold", "warm", "all"):
+        assert os.path.exists(os.path.join(outdir, f"report_{scenario}.json"))
 
 
 def test_run_experiment_selects_nonzero_ridge_over_overfit(tmp_path):
