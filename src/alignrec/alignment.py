@@ -202,10 +202,10 @@ def popularity_regularizer(X, cfg):
 
 @dataclass
 class AlignmentMatrix:
-    """Lazy B = alpha * X @ G @ diag(d).
+    """B = alpha * X @ G @ diag(d), held in factored form.
 
-    Held in factored form; solvers pull X^T B (items x items) without
-    ever materializing the users x items product unless asked.
+    The solvers need B only through X^T B = X^T X H, with the item map
+    H = alpha * G @ diag(d), so B itself is built only when asked.
     """
 
     X: sp.csr_matrix
@@ -217,20 +217,21 @@ class AlignmentMatrix:
     def shape(self):
         return (self.X.shape[0], self.G.shape[1])
 
+    def item_map(self):
+        """H = alpha * G @ diag(d), items x items, so that B = X @ H."""
+        return self.alpha * self.G * self.d[None, :]
+
     def materialize(self):
         check_dense_budget(*self.shape, what="alignment matrix")
-        if self.alpha == 0.0:
-            return np.zeros(self.shape)
         return self.alpha * np.asarray(self.X @ self.G) * self.d[None, :]
 
-    def xtb(self, xtx=None):
-        """X^T B as a dense items x items matrix; from the Gram xtx = X^T X if given."""
-        n = self.G.shape[1]
-        check_dense_budget(n, n, what="X^T B")
-        if self.alpha == 0.0:
-            return np.zeros((n, n))
-        xtx_g = self.X.T @ (self.X @ self.G) if xtx is None else xtx @ self.G
-        return self.alpha * np.asarray(xtx_g) * self.d[None, :]
+    def xtb(self, xtx):
+        """X^T B as a dense items x items matrix, from the Gram xtx = X^T X."""
+        check_dense_budget(*xtx.shape, what="X^T B")
+        out = xtx @ self.G
+        out *= self.alpha
+        out *= self.d[None, :]
+        return out
 
 
 def align(X, G, cfg, d=None):

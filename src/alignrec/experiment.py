@@ -467,7 +467,7 @@ class _Pipeline:
         if name == "itemknn":
             return solvers.ItemModel(
                 theta=self.G, solver="itemknn",
-                config={"alpha": acfg.alpha, "delta": acfg.delta},
+                config={"delta": acfg.delta},
                 diagnostics={"n_items": int(X.shape[1]), "n_users": int(X.shape[0])},
             )
         B = alignment.align(X, self.G, acfg, d=d)

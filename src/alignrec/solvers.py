@@ -13,10 +13,10 @@ Two backbones share the aligned-system structure:
   directly when the capacitance would be as large as K or fails the rcond
   check, and every column does when K itself is singular.
 
-Both accept an alignment matrix B whose cross term X^T B lands inside the
-inverted system; that term is non-symmetric, so every solve here uses a
-general pivoted factorization. A fit whose weights are not all finite
-raises SolverError.
+Both start from S = X^T (X + B), formed in one place with X^T B taken from
+the Gram; an alignment matrix B acts when it is given with alpha != 0. X^T B
+is non-symmetric, so every solve here uses a general pivoted factorization.
+A fit whose weights are not all finite raises SolverError.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import logging
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,23 +102,41 @@ def _check_finite(theta):
         )
 
 
+def _aligned_system(X, B):
+    """(CSR X, S = X^T (X + B), whether B acts); B acts if given with alpha != 0."""
+    X = sp.csr_matrix(X)
+    g = gram(X)
+    if B is None or B.alpha == 0.0:
+        return X, g, False
+    s = B.xtb(g)
+    s += g
+    return X, s, True
+
+
+def _fitted(theta, solver, cfg, aligned, X, t0, **diagnostics):
+    """The fit's ItemModel: its config plus use_alignment, and its diagnostics."""
+    diagnostics.update(n_items=int(X.shape[1]), n_users=int(X.shape[0]),
+                       wall_time_s=time.perf_counter() - t0)
+    return ItemModel(theta=theta, solver=solver,
+                     config={**asdict(cfg), "use_alignment": aligned},
+                     diagnostics=diagnostics)
+
+
 def fit_ease(X, cfg, F=None, B=None):
     """Closed-form aligned EASE fit.
 
-    Inverts M = X^T X + lambda0 FF^T + lambda1 I + X^T B once, forms the
+    Inverts M = X^T (X + B) + lambda1 I + lambda0 FF^T once, forms the
     unconstrained solution theta_tilde = I - lambda1 P, then applies the
     diagonal correction theta = theta_tilde - P diag(theta_tilde)/diag(P)
-    so self-similarities vanish. With B absent and lambda0 = 0 this is
-    the textbook EASE estimator.
+    so self-similarities vanish. With B absent (or alpha = 0) and
+    lambda0 = 0 this is the textbook EASE estimator.
     """
     t0 = time.perf_counter()
-    X = sp.csr_matrix(X)
+    X, m, aligned = _aligned_system(X, B)
     n = X.shape[1]
-    m = gram(X) + cfg.lambda1 * np.eye(n)
+    m.flat[::n + 1] += cfg.lambda1
     if cfg.lambda0 > 0 and F is not None:
         m += cfg.lambda0 * _feature_item_gram(F)
-    if B is not None:
-        m += B.xtb()
     try:
         p = invert(m)
     except SingularMatrixError as e:
@@ -138,20 +156,7 @@ def fit_ease(X, cfg, F=None, B=None):
     _check_finite(theta)
     diag_residual = float(np.abs(np.diag(theta)).max())
     np.fill_diagonal(theta, 0.0)
-
-    diagnostics = {
-        "diag_residual_max": diag_residual,
-        "n_items": int(n),
-        "n_users": int(X.shape[0]),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    return ItemModel(
-        theta=theta,
-        solver="ease",
-        config={"lambda0": cfg.lambda0, "lambda1": cfg.lambda1,
-                "use_alignment": B is not None},
-        diagnostics=diagnostics,
-    )
+    return _fitted(theta, "ease", cfg, aligned, X, t0, diag_residual_max=diag_residual)
 
 
 _ROUTES = ("rank_one", "woodbury", "direct")  # diagnostics count the columns of each
@@ -218,14 +223,12 @@ def fit_mslim(X, cfg, B=None, workers=1):
     fails the rcond check, or K is singular. Workers never change the result.
     """
     t0 = time.perf_counter()
-    Xcsr = sp.csr_matrix(X)
+    Xcsr, k, aligned = _aligned_system(X, B)
     Xcsc = Xcsr.tocsc()
     n = Xcsr.shape[1]
-    g = gram(Xcsr)
-    aligned = B is not None and B.alpha != 0.0
-    k = cfg.w1 * (g + B.xtb(g)) if aligned else cfg.w1 * g
+    k *= cfg.w1
     k.flat[::n + 1] += cfg.lambda1
-    m = np.eye(n) + (B.alpha * B.G * B.d[None, :] if aligned else 0.0)  # V_i = X_i M
+    m = np.eye(n) + (B.item_map() if aligned else 0.0)  # V_i = X_i M
     try:
         p = invert(k)
     except SingularMatrixError:
@@ -255,19 +258,8 @@ def fit_mslim(X, cfg, B=None, workers=1):
             columns=cols,
         )
     _check_finite(theta)
-    diagnostics = {
-        "columns_by_route": dict(zip(_ROUTES, np.bincount(route, minlength=3).tolist())),
-        "n_items": int(n),
-        "n_users": int(Xcsr.shape[0]),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    return ItemModel(
-        theta=theta,
-        solver="mslim",
-        config={"w0": cfg.w0, "w1": cfg.w1, "lambda1": cfg.lambda1,
-                "gamma1": cfg.gamma1, "use_alignment": aligned},
-        diagnostics=diagnostics,
-    )
+    routes = dict(zip(_ROUTES, np.bincount(route, minlength=3).tolist()))
+    return _fitted(theta, "mslim", cfg, aligned, Xcsr, t0, columns_by_route=routes)
 
 
 def itemknn_scores(X_user_rows, G):
@@ -294,25 +286,13 @@ def random_scores(n_users, n_items, seed=0):
     return np.random.default_rng(seed).standard_normal((n_users, n_items))
 
 
-def _topk_columns(theta, k):
-    """Each column's k largest-magnitude rows, in row order, and their values;
-    one output row per column. A stable sort breaks ties toward the lower row."""
-    rows = np.sort(np.argsort(-np.abs(theta), axis=0, kind="stable")[:k], axis=0)
-    return rows.T.astype(np.uint32), np.take_along_axis(theta, rows, axis=0).T
-
-
-def save_model(model, path, top_k=None):
-    """Write the binary weight file plus a JSON sidecar at path + '.json'.
-
-    top_k keeps only the k largest-magnitude entries per column (ties
-    toward the lower row index); None stores the dense matrix.
-    """
+def save_model(model, path):
+    """Write the dense binary weight file plus a JSON sidecar at path + '.json'."""
     theta = np.ascontiguousarray(model.theta, dtype="<f8")
     n = theta.shape[0]
-    mode = 0 if top_k is None else 1
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<IQ", mode, n))
+        fh.write(struct.pack("<IQ", 0, n))
         ids = model.item_ids
         fh.write(struct.pack("<B", 1 if ids else 0))
         if ids:
@@ -320,20 +300,11 @@ def save_model(model, path, top_k=None):
                 raw = item_id.encode("utf-8")
                 fh.write(struct.pack("<H", len(raw)))
                 fh.write(raw)
-        if mode == 0:
-            fh.write(theta.tobytes())
-        else:
-            idx, vals = _topk_columns(theta, top_k)
-            fh.write(struct.pack("<I", idx.shape[1]))
-            for j in range(n):
-                fh.write(idx[j].astype("<u4").tobytes())
-                fh.write(vals[j].astype("<f8").tobytes())
+        fh.write(theta.tobytes())
     sidecar = {
         "solver": model.solver,
         "config": model.config,
         "diagnostics": model.diagnostics,
-        "storage": "dense" if mode == 0 else "topk",
-        "top_k": top_k,
         "n_items": n,
     }
     write_json(path + ".json", sidecar)
@@ -342,8 +313,9 @@ def save_model(model, path, top_k=None):
 def load_model(path):
     """Read a model written by save_model.
 
-    A sidecar that is not JSON, a bad magic, a file that ends early, or
-    bytes past the last column raise FormatError.
+    A sidecar that is not JSON, a bad magic, a layout mode other than the
+    dense 0, a file that ends early, or bytes past the last column raise
+    FormatError.
     """
     sidecar = read_json(path + ".json")
     with open(path, "rb") as fh:
@@ -351,19 +323,13 @@ def load_model(path):
         if magic != MODEL_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}, not a model file")
         mode, n = struct.unpack("<IQ", read_exact(fh, 12, path))
+        if mode != 0:
+            raise FormatError(f"{path}: model layout mode {mode} is not the dense mode 0")
         check_dense_budget(n, n, what="model matrix")
         (has_ids,) = struct.unpack("<B", read_exact(fh, 1, path))
         item_ids = tuple(read_item_id(fh, path) for _ in range(n)) if has_ids else None
-        if mode == 0:
-            raw = read_exact(fh, 8 * n * n, path)
-            theta = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
-        else:
-            (k,) = struct.unpack("<I", read_exact(fh, 4, path))
-            theta = np.zeros((n, n))
-            for j in range(n):
-                idx = np.frombuffer(read_exact(fh, 4 * k, path), dtype="<u4")
-                vals = np.frombuffer(read_exact(fh, 8 * k, path), dtype="<f8")
-                theta[idx, j] = vals
+        raw = read_exact(fh, 8 * n * n, path)
+        theta = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after the last model column")
     return ItemModel(

@@ -5,6 +5,8 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignrec import (
     AlignmentConfig,
@@ -19,6 +21,7 @@ from alignrec import (
     smoothed_cosine,
 )
 from alignrec.alignment import attribute_pairs
+from alignrec.linalg import gram
 from alignrec.synthetic import planted_dataset
 
 
@@ -221,15 +224,37 @@ def test_align_matches_hand_computed_product():
     cfg = AlignmentConfig(alpha=2.0)
     B = align(X, G, cfg, d=np.array([1.0, 2.0]))
     np.testing.assert_allclose(B.materialize(), [[2.0, 2.0]], atol=1e-12)
-    np.testing.assert_allclose(B.xtb(), [[2.0, 2.0], [0.0, 0.0]], atol=1e-12)
+    np.testing.assert_allclose(B.xtb(gram(X)), [[2.0, 2.0], [0.0, 0.0]], atol=1e-12)
+    np.testing.assert_allclose(B.item_map(), [[2.0, 2.0], [1.0, 4.0]], atol=1e-12)
     assert B.shape == (1, 2)
 
 
-def test_align_zero_alpha_short_circuits():
+def test_align_zero_alpha_gives_exact_zeros():
     X = sp.csr_matrix(np.eye(3))
     B = align(X, np.eye(3), AlignmentConfig(alpha=0.0), d=np.ones(3))
-    assert B.materialize().sum() == 0
-    assert B.xtb().sum() == 0
+    assert (B.materialize() == 0).all()
+    assert (B.xtb(gram(X)) == 0).all()
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(2, 9),
+       n_cold=st.integers(0, 8), alpha=st.sampled_from([0.0, 0.7]),
+       support=st.sampled_from(["partial", "full", "none"]))
+@settings(max_examples=60, deadline=None)
+def test_xtb_from_the_gram_matches_the_materialized_product(seed, n_items, n_cold,
+                                                            alpha, support):
+    # X^T B from the Gram against X^T B from B itself, with cold (empty) columns
+    rng = np.random.default_rng(seed)
+    x = (rng.random((12, n_items)) < 0.4).astype(np.float64)
+    x[:, rng.permutation(n_items)[:min(n_cold, n_items - 1)]] = 0.0
+    X = sp.csr_matrix(x)
+    Z = rng.standard_normal((n_items, 3))
+    d = {"partial": np.where(rng.random(n_items) < 0.5, 0.0, rng.uniform(0.1, 3.0, n_items)),
+         "full": rng.uniform(0.1, 3.0, n_items),
+         "none": np.zeros(n_items)}[support]
+    B = align(X, Z @ Z.T, AlignmentConfig(alpha=alpha), d=d)
+    direct = X.T @ B.materialize()
+    tol = 1e-12 * max(1.0, np.abs(direct).max())
+    np.testing.assert_allclose(B.xtb(gram(X)), direct, rtol=0, atol=tol)
 
 
 def test_align_defaults_decay_to_popularity():

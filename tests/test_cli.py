@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from alignrec import ConfigError, SolverError
+from alignrec import ConfigError, SolverError, load_model
 from alignrec.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -223,6 +223,26 @@ def test_main_evaluate_corrupt_model_is_a_data_error(planted_config, capsys, cor
     assert main(["evaluate", "--config", path]) == EXIT_DATA
 
 
+def test_main_evaluate_model_with_a_non_dense_layout_is_a_data_error(planted_config, capsys,
+                                                                     caplog):
+    # a well-formed file of the former top-k layout (mode 1, keeping all n
+    # rows of each column): only the dense mode 0 is read
+    path = planted_config()
+    assert main(["fit", "--config", path]) == EXIT_OK
+    model = os.path.join(capsys.readouterr().out.strip(), "model.bin")
+    theta = load_model(model).theta
+    n = theta.shape[0]
+    with open(model, "rb") as fh:
+        raw = fh.read()
+    columns = b"".join(np.arange(n, dtype="<u4").tobytes() + theta[:, j].astype("<f8").tobytes()
+                       for j in range(n))
+    with open(model, "wb") as fh:
+        fh.write(raw[:8] + struct.pack("<I", 1) + raw[12:len(raw) - 8 * n * n])
+        fh.write(struct.pack("<I", n) + columns)
+    assert main(["evaluate", "--config", path]) == EXIT_DATA
+    assert f"{model}: model layout mode 1 is not the dense mode 0" in caplog.text
+
+
 def test_main_evaluate_model_with_other_item_count_is_a_data_error(planted_config, capsys,
                                                                   caplog):
     path = planted_config()
@@ -275,10 +295,9 @@ def test_main_report_truncated_json_is_a_data_error(tmp_path, caplog):
     assert f"{report}: not valid JSON" in caplog.text
 
 
-def test_main_verbs_without_workers_ignore_workers_env(planted_config, monkeypatch, capsys):
+def test_main_split_featurize_and_evaluate_run_after_fit(planted_config, capsys):
     path = planted_config()
     assert main(["fit", "--config", path]) == EXIT_OK
-    monkeypatch.setenv("ALIGNREC_WORKERS", "many")
     for verb in ("split", "featurize", "evaluate"):
         assert main([verb, "--config", path]) == EXIT_OK
     capsys.readouterr()

@@ -454,7 +454,10 @@ def test_cold_itemknn_run_stores_the_mixed_similarity(planted_config):
     theta = load_model(os.path.join(outdir, "model.bin")).theta
     assert theta.dtype == G.dtype and theta.tobytes() == G.tobytes()
     with open(os.path.join(outdir, "model.bin.json"), encoding="utf-8") as fh:
-        assert json.load(fh)["solver"] == "itemknn"
+        sidecar = json.load(fh)
+    assert sidecar["solver"] == "itemknn"
+    # alpha never enters the itemknn model, so only delta is recorded
+    assert sidecar["config"] == {"delta": cfg["_alignment"].delta}
     for scenario in ("cold", "warm", "all"):
         assert os.path.exists(os.path.join(outdir, f"report_{scenario}.json"))
 
