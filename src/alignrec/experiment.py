@@ -364,7 +364,8 @@ class _Pipeline:
         """Fix the validation target, then pick the mix coefficients on it.
 
         The target is the cold split itself, or under the warm protocol a
-        nested leave-one-out split of the training users (seed + 1). Every
+        nested leave-one-out split of the training users (seed + 1) whose
+        negatives never hold the user's outer held-out item. Every
         grid point shares the decay vectors built here.
         """
         spl, train = self.cfg["split"], self.split_.train
@@ -375,6 +376,7 @@ class _Pipeline:
             self.val = data.make_warm_split(
                 train, min_user_clicks=max(1, spl["min_user_clicks"] - 1),
                 negatives=spl["negatives"], seed=self.seed + 1,
+                exclude=self.split_.heldout,
             )
             self.val_d = alignment.popularity_regularizer(self.val.train.X, self.acfg)
         grid = self.cfg["alignment"]["mu_grid"]

@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from alignrec import (
+    Dataset,
     EmptyDatasetError,
     FormatError,
     ParseError,
@@ -289,6 +291,60 @@ def test_warm_split_names_user_when_negatives_run_out(tmp_path):
     d = load_interactions(p)
     with pytest.raises(ValueError, match="'greedy' has 0 non-history items"):
         make_warm_split(d, min_user_clicks=3, negatives=2, seed=0)
+
+
+def test_warm_split_names_user_short_only_through_the_excluded_item(tmp_path):
+    rows = ["user,item,value"] + [f"a,i{j},1" for j in range(3)] + ["z,i3,1", "z,i4,1"]
+    d = load_interactions(_write(tmp_path / "x.csv", "\n".join(rows) + "\n"))
+    # exactly two free items: both are drawn
+    split = make_warm_split(d, min_user_clicks=3, negatives=2, seed=0)
+    assert split.negatives.tolist() == [[3, 4]]
+    with pytest.raises(ValueError, match="'a' has 1 non-history items, cannot draw 2"):
+        make_warm_split(d, min_user_clicks=3, negatives=2, seed=0, exclude=np.array([3, 0]))
+
+
+def test_warm_split_names_user_when_negatives_reach_the_item_count(tmp_path):
+    p = _write(tmp_path / "x.csv", "user,item,value\na,i0,1\nz,i1,1\nz,i2,1\n")
+    d = load_interactions(p)
+    with pytest.raises(ValueError, match="'a' has 2 non-history items, cannot draw 3"):
+        make_warm_split(d, min_user_clicks=1, negatives=3, seed=0)
+
+
+def test_warm_split_rejects_a_threshold_below_one_click(tmp_path):
+    d = load_interactions(_write(tmp_path / "x.csv", "user,item,value\na,i0,1\nz,i1,1\n"))
+    with pytest.raises(ValueError, match="min_user_clicks must be >= 1, got 0"):
+        make_warm_split(d, min_user_clicks=0, negatives=1, seed=0)
+
+
+def test_warm_split_draws_each_free_item_uniformly():
+    # 3000 identical users: items 0 and 1 clicked, 8 free items, 3 negatives
+    n = 3000
+    pairs = np.column_stack((np.repeat(np.arange(n), 2), np.tile([0, 1], n)))
+    d = Dataset.from_pairs(pairs, [f"u{i}" for i in range(n)], [f"i{j}" for j in range(10)])
+    negs = make_warm_split(d, min_user_clicks=2, negatives=3, seed=7).negatives
+    assert negs.min() >= 2 and (np.diff(negs, axis=1) > 0).all()
+    freq = np.bincount(negs.ravel(), minlength=10)[2:] / n
+    sigma = np.sqrt(3 / 8 * (5 / 8) / n)
+    assert np.all(np.abs(freq - 3 / 8) < 4 * sigma), freq
+
+
+def test_warm_split_draw_scratch_memory_is_bounded():
+    rng = np.random.default_rng(0)
+    n_users, n_items = 1100, 1000
+    pairs = np.column_stack((np.repeat(np.arange(n_users), 20),
+                             np.concatenate([rng.choice(n_items, 20, replace=False)
+                                             for _ in range(n_users)])))
+    d = Dataset.from_pairs(pairs, [f"u{i}" for i in range(n_users)],
+                           [f"i{j}" for j in range(n_items)])
+    tracemalloc.start()
+    try:
+        split = make_warm_split(d, min_user_clicks=10, negatives=100, seed=0)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert split.negatives.shape == (n_users, 100)
+    # one 2**20-cell block would hold 16 MB of keys and argpartition indices
+    assert peak - current < 8 * 2**20
 
 
 def test_warm_split_rejects_empty_qualifying_set(tmp_path):

@@ -1,13 +1,15 @@
-"""Property tests for interaction loading and split persistence.
+"""Property tests for interaction loading, splitting and split persistence.
 
 ``reference_load`` is the dict-based id indexing and dedup that
 ``load_interactions`` used before it moved to numpy; the loader must agree
-with it exactly on random logs.
+with it exactly on random logs. ``reference_warm_split`` is the per-user
+loop that ``make_warm_split`` ran before its block-vectorized draw.
 """
 
 import csv
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from alignrec import (
     save_cold_split,
     save_warm_split,
 )
+from alignrec import data
 
 THRESHOLD = 0.5
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -165,3 +168,76 @@ def test_warm_split_round_trips_exactly(d, seed):
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
     assert (back.min_user_clicks, back.seed) == (split.min_user_clicks, split.seed)
+
+
+def reference_warm_split(d, min_user_clicks, negatives, exclude=None):
+    """The per-user leave-one-out loop, without its negative draw.
+
+    Returns the kept users, their held-out positions in ``d.interactions``
+    and each one's candidate negatives: the items outside its history and
+    other than its ``exclude`` entry. The first user with fewer than
+    ``negatives`` candidates raises the ValueError that names it.
+    """
+    counts = np.asarray(d.X.sum(axis=1)).ravel()
+    keep_users = np.flatnonzero(counts >= min_user_clicks)
+    order = np.argsort(d.interactions[:, 0], kind="stable")
+    bounds = np.searchsorted(d.interactions[order, 0], [keep_users, keep_users + 1])
+    drop_positions, candidates = [], []
+    for row, u in enumerate(keep_users):
+        mine = order[bounds[0, row] : bounds[1, row]]
+        if d.timestamps is not None:
+            ts = d.timestamps[mine]
+            drop_positions.append(mine[np.flatnonzero(ts == ts.max())[-1]])
+        else:
+            drop_positions.append(mine[-1])
+        banned = d.interactions[mine, 1]
+        if exclude is not None:
+            banned = np.append(banned, exclude[u])
+        free = np.setdiff1d(np.arange(d.n_items), banned)
+        if len(free) < negatives:
+            raise ValueError(
+                f"user {d.user_ids[u]!r} has {len(free)} non-history items, "
+                f"cannot draw {negatives} negatives"
+            )
+        candidates.append(free)
+    return keep_users, np.array(drop_positions, dtype=np.int64), candidates
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=datasets(n_users=6, n_items=8), min_user_clicks=st.integers(1, 4),
+       negatives=st.integers(1, 3), exclude=st.none() | st.lists(
+           st.integers(0, 7), min_size=6, max_size=6).map(np.array),
+       seed=st.integers(0, 2**16))
+def test_warm_split_matches_the_per_user_loop(d, min_user_clicks, negatives, exclude, seed):
+    args = dict(min_user_clicks=min_user_clicks, negatives=negatives, seed=seed,
+                exclude=exclude)
+    try:
+        keep_users, drop, candidates = reference_warm_split(
+            d, min_user_clicks, negatives, exclude)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            make_warm_split(d, **args)
+        assert str(got.value) == str(err)
+        return
+    if len(keep_users) == 0:
+        with pytest.raises(EmptyDatasetError):
+            make_warm_split(d, **args)
+        return
+    split = make_warm_split(d, **args)
+
+    np.testing.assert_array_equal(split.heldout, d.interactions[drop, 1])
+    kept = np.isin(d.interactions[:, 0], keep_users)
+    kept[drop] = False
+    pairs = d.interactions[kept]
+    pairs[:, 0] = np.searchsorted(keep_users, pairs[:, 0])
+    want = Dataset.from_pairs(pairs, [d.user_ids[u] for u in keep_users], d.item_ids,
+                              None if d.timestamps is None else d.timestamps[kept])
+    _assert_same_dataset(split.train, want)
+
+    assert split.negatives.shape == (len(keep_users), negatives)
+    for negs, free in zip(split.negatives, candidates):
+        # distinct, ascending, and all of them when exactly that many are free
+        assert (np.diff(negs) > 0).all() and np.isin(negs, free).all()
+    with mock.patch.object(data, "_DRAW_CELLS", 1):  # one user per block
+        one = make_warm_split(d, **args)
+    np.testing.assert_array_equal(one.negatives, split.negatives)

@@ -563,6 +563,17 @@ def test_warm_run_refits_the_winner_once(planted_config, monkeypatch):
     assert len(fits) == 3 + 1
 
 
+def test_nested_warm_negatives_never_hold_the_outer_heldout_item(planted_config):
+    pipe = _Pipeline(load_config(planted_config(protocol="warm", negatives=20)))
+    for stage in ("load", "split", "featurize", "fit-mix"):
+        pipe._stage(stage)
+    outer, nested = pipe.split_, pipe.val
+    row = {u: r for r, u in enumerate(outer.train.user_ids)}
+    heldout = outer.heldout[[row[u] for u in nested.train.user_ids]]
+    assert len(heldout) > 100
+    assert not (nested.negatives == heldout[:, None]).any()
+
+
 def test_selection_scores_all_pool_without_cold_validation_pairs(planted_config,
                                                                   monkeypatch):
     make = data.make_cold_split
