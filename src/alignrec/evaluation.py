@@ -5,16 +5,16 @@ discounts hits by 1/log2(1+rank) and normalizes by the ideal prefix sum
 over min(k, |relevant|) positions. Score ties always break toward the
 lower item index so reruns and reorderings reproduce the same tables.
 
-Each scenario ranks every user's full pool once (``build_ranked_lists``)
-and reduces the lists to one hit-rank table that every metric and k reads.
-The table is built from one vectorized membership test per chunk of
-``_HIT_CHUNK`` lists, keyed on (list, item), so its scratch memory is a few
-MB whatever the number of users.
+Each scenario ranks every user's pool once (``build_ranked_lists``), to
+depth max(ks) and ``_RANK_CELLS`` pool cells at a time, and reduces the
+lists to one hit-rank table that every metric and k reads. The table is
+built from one vectorized membership test per chunk of ``_HIT_CHUNK``
+lists, keyed on (list, item), so its scratch memory is a few MB whatever
+the number of users.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -35,11 +35,12 @@ SELECTION = (f"ndcg@{_SELECTION_K}", f"hr@{_SELECTION_K}")
 
 @dataclass
 class RankedList:
-    """One user's ranking restricted to a candidate pool."""
+    """One user's ranking of a candidate pool; if truncated, only its top places."""
 
     user: int
     ranked: np.ndarray
     relevant: np.ndarray
+    truncated: bool = False
 
 
 @dataclass
@@ -76,8 +77,8 @@ _HIT_CHUNK = 128
 def _hit_ranks(lists):
     """The table every metric and k of ``lists`` reduces over: per user with
     relevant items (the rest are excluded with one warning) the user, the
-    relevant count, the hit count, and the sorted 1-based hit ranks,
-    concatenated user by user.
+    relevant count, the hit count, the sorted 1-based hit ranks,
+    concatenated user by user, and the shortest truncated list's depth or None.
 
     The hits of ``_HIT_CHUNK`` lists come from one ``np.isin`` over keys
     ``owner * width + item``, so a ranked item matches only its own list's
@@ -105,8 +106,9 @@ def _hit_ranks(lists):
         owner = keys[hit] // width
         ranks.append(hit - (np.cumsum(lengths) - lengths)[owner] + 1)
         n_hits.append(np.bincount(owner, minlength=len(chunk)))
-    return (np.array([rl.user for rl in kept]), n_relevant,
-            np.concatenate(n_hits), np.concatenate(ranks))
+    return (np.array([rl.user for rl in kept]), n_relevant, np.concatenate(n_hits),
+            np.concatenate(ranks), min((len(rl.ranked) for rl in kept if rl.truncated),
+                                       default=None))
 
 
 def _metric(table, name, k):
@@ -116,9 +118,11 @@ def _metric(table, name, k):
     count) and idcg np.sum over a discount prefix, so both equal the
     per-user 1-D sums bit for bit.
     """
+    users, n_relevant, n_hits, ranks, truncated = table
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    users, n_relevant, n_hits, ranks = table
+    if truncated is not None and k > truncated:
+        raise ValueError(f"k = {k} reads past lists truncated at depth {truncated}")
     hits = np.bincount(np.repeat(np.arange(len(users)), n_hits)[ranks <= k],
                        minlength=len(users))
     depth = np.minimum(n_relevant, k)
@@ -200,9 +204,9 @@ class EvalReport:
 
 
 def _pools(split, scenario, use):
-    """(user, candidate pool, relevant items) per user of one scenario: a
-    cold split's val or test pairs against the cold, warm or full item pool,
-    or a warm split's held-out click against the user's negatives."""
+    """(users, pool rows, relevant sets) of one scenario: a cold split's val
+    or test pairs against the cold, warm or full item pool (one row for all
+    users), or a warm split's held-out click, then its negatives, per user."""
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if scenario == "leave_one_out":
@@ -210,8 +214,8 @@ def _pools(split, scenario, use):
             raise ValueError("leave_one_out needs a warm split")
         if use != "test":
             raise ValueError("warm splits have a single held-out set")
-        return zip(range(len(split.heldout)),
-                   np.column_stack((split.heldout, split.negatives)), split.heldout[:, None])
+        return (np.arange(len(split.heldout)),
+                np.column_stack((split.heldout, split.negatives)), split.heldout[:, None])
 
     if not hasattr(split, "cold_val"):
         raise ValueError(f"scenario {scenario!r} needs a cold split")
@@ -225,24 +229,45 @@ def _pools(split, scenario, use):
     if len(pairs) == 0 or len(pool) == 0:
         raise ValueError(f"scenario {scenario!r} has an empty candidate pool or no held-out interactions")
     # distinct pairs sorted by (user, item): each user's run is its relevant set
-    pairs = np.unique(pairs, axis=0)
-    users, starts = np.unique(pairs[:, 0], return_index=True)
-    return zip(users.tolist(), itertools.repeat(pool), np.split(pairs[:, 1], starts[1:]))
+    n = len(cold)
+    pairs = np.unique(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
+    users, starts = np.unique(pairs // n, return_index=True)
+    return users, pool[None, :], np.split(pairs % n, starts[1:])
 
 
-def build_ranked_lists(scores, split, scenario, use="test"):
-    """Rank every user's pool of one scenario with ``rank_candidates``.
+# pool cells per ranking block: a block's scratch stays near a MB at any user count
+_RANK_CELLS = 2**16
 
-    Training positives are masked to -inf first, so they and any -inf score
-    rank after every finite score, NaN ranks after them, and ties break
-    toward the lower item index.
+
+def build_ranked_lists(scores, split, scenario, use="test", depth=None):
+    """The first ``depth`` places (None: all) of each user's pool of one
+    scenario, in ``rank_candidates`` order: training positives masked to
+    -inf, so they and any -inf score rank after every finite score, NaN after
+    them, ties toward the lower item index. Per block of ``_RANK_CELLS`` pool
+    cells, one ``np.lexsort`` orders each row's cells up to and tied with its
+    depth-th key (the whole row when that key is NaN).
     """
-    indptr, indices = split.train.X.indptr, split.train.X.indices
+    users, pools, relevant = _pools(split, scenario, use)
+    width = pools.shape[1]
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    depth = width if depth is None else min(depth, width)
+    step = max(1, _RANK_CELLS // width)
     lists = []
-    for u, pool, relevant in _pools(split, scenario, use):
-        s = np.array(scores[u], dtype=np.float64)
-        s[indices[indptr[u] : indptr[u + 1]]] = -np.inf
-        lists.append(RankedList(user=u, ranked=rank_candidates(s, pool), relevant=relevant))
+    for lo in range(0, len(users), step):
+        u = users[lo : lo + step]
+        pool = pools[lo : lo + step] if len(pools) > 1 else pools
+        key = scores[u[:, None], pool].astype(np.float64, copy=False)
+        positives = split.train.X[u[:, None], pool].tocoo()
+        key[positives.row, positives.col] = -np.inf
+        np.negative(key, out=key)
+        cut = np.partition(key, depth - 1, axis=1)[:, depth - 1 : depth]
+        row, col = np.nonzero((key <= cut) | np.isnan(cut))
+        items = np.broadcast_to(pool, key.shape)[row, col]
+        first = np.searchsorted(row, np.arange(len(u)))[:, None] + np.arange(depth)
+        ranked = items[np.lexsort((items, key[row, col], row))][first]
+        lists.extend(RankedList(user=user, ranked=r, relevant=rel, truncated=depth < width)
+                     for user, r, rel in zip(u.tolist(), ranked, relevant[lo : lo + step]))
     return lists
 
 
@@ -272,18 +297,22 @@ def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=METRICS,
                       seed=None):
     """Score one scenario and return an EvalReport with optional CIs.
 
-    The pool is ranked once and its hit ranks are computed once; every
-    metric and k reduces over that table. The bootstrap seed defaults to
-    the split's own seed so a rerun of the same experiment reproduces the
-    intervals byte for byte.
+    The pool is ranked once, to depth max(ks), and its hit ranks are
+    computed once; every metric and k reduces over that table. The bootstrap
+    seed defaults to the split's own seed so a rerun of the same experiment
+    reproduces the intervals byte for byte.
     """
-    table = _hit_ranks(build_ranked_lists(scores, split, scenario, use=use))
+    if not ks or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                         and k >= 1 for k in ks):
+        raise ValueError(f"ks must be a nonempty sequence of integers >= 1, got {ks!r}")
+    for name in metrics:
+        if name not in METRICS:
+            raise ValueError(f"unknown metric {name!r}, have {list(METRICS)}")
+    table = _hit_ranks(build_ranked_lists(scores, split, scenario, use=use, depth=max(ks)))
     if seed is None:
         seed = split.seed
     results = []
     for name in metrics:
-        if name not in METRICS:
-            raise ValueError(f"unknown metric {name!r}, have {list(METRICS)}")
         for k in ks:
             res = _metric(table, name, k)
             if with_ci:

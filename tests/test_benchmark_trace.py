@@ -71,6 +71,9 @@ def test_traced_sample_reports_every_per_layer_metric(tmp_path, name):
     metrics = tracer.layer_metrics(rec["spans"], set(rec["installed"]),
                                    set(rec["probe_failed"]))
     assert sorted(_per_layer_names() - set(metrics)) == []
+    # every pool ranks only to depth max(ks) = 10, and every tiny pool holds
+    # at least 10 items, so a return to full sorts shows here
+    assert metrics["evaluation.candidates_ranked"] == 10 * metrics["evaluation.users_ranked"]
     if name == "cold-mslim":
         # per grid point, one inverse of the shared matrix plus one solve per
         # clicked item (its Woodbury capacitance, or its direct system when

@@ -209,6 +209,139 @@ def test_hit_rank_table_scratch_memory_is_bounded():
     assert peak < 8 * 2**20
 
 
+def _split_over(clicked, cold_items=(), held=None, heldout=None, negatives=None):
+    """A cold split (held pairs as both val and test, split by ``cold_items``)
+    or, given ``heldout``, a warm split, over the boolean ``clicked`` matrix."""
+    n_users, n_items = clicked.shape
+    item_ids = tuple(f"i{j}" for j in range(n_items))
+    train = Dataset(X=sp.csr_matrix(clicked.astype(np.float64)),
+                    user_ids=tuple(f"u{u}" for u in range(n_users)), item_ids=item_ids,
+                    interactions=np.argwhere(clicked).astype(np.int64))
+    if heldout is not None:
+        return WarmSplit(train=train, heldout=heldout, negatives=negatives, seed=0,
+                         min_user_clicks=1)
+    is_cold = np.isin(held[:, 1], cold_items)
+    return ColdSplit(train=train, warm_val=held[~is_cold], warm_test=held[~is_cold],
+                     cold_val=held[is_cold], cold_test=held[is_cold],
+                     cold_item_ids=tuple(item_ids[j] for j in cold_items), seed=0)
+
+
+def _reference_lists(scores, split, scenario):
+    """Every user's full ``rank_candidates`` list, one user at a time."""
+    clicked = split.train.X.toarray() != 0
+    if scenario == "leave_one_out":
+        entries = [(u, np.concatenate(([h], split.negatives[u])), np.array([h]))
+                   for u, h in enumerate(split.heldout)]
+    else:
+        cold = np.isin(np.arange(split.train.n_items), split.cold_cols)
+        pool = {"cold": np.flatnonzero(cold), "warm": np.flatnonzero(~cold),
+                "all": np.arange(len(cold))}[scenario]
+        pairs = {"cold": split.cold_test, "warm": split.warm_test,
+                 "all": np.concatenate((split.warm_test, split.cold_test))}[scenario]
+        entries = [(u, pool, np.unique(pairs[pairs[:, 0] == u, 1]))
+                   for u in np.unique(pairs[:, 0]).tolist()]
+    return [RankedList(user=u, relevant=rel,
+                       ranked=rank_candidates(np.where(clicked[u], -np.inf, scores[u]), pool))
+            for u, pool, rel in entries]
+
+
+@st.composite
+def scored_scenarios(draw):
+    """Scores from a few values (ties, NaN, +-inf, -0.0) on a small split with
+    random training positives, also inside the pools, and one scenario; a
+    leave_one_out pool is the held-out item, then negatives in any order."""
+    n_users, n_items = draw(st.integers(1, 8)), draw(st.integers(2, 12))
+    cells = n_users * n_items
+    scores = np.array(draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0,
+                                                     1.0, 2.5]),
+                                    min_size=cells, max_size=cells))).reshape(n_users, n_items)
+    clicked = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+    clicked = clicked.reshape(n_users, n_items)
+    scenario = draw(st.sampled_from(evaluation.SCENARIOS))
+    if scenario == "leave_one_out":
+        width = draw(st.integers(2, n_items))
+        pools = np.array([draw(st.permutations(range(n_items)))[:width] for _ in range(n_users)])
+        return scores, _split_over(clicked, heldout=pools[:, 0], negatives=pools[:, 1:]), scenario
+    cold = draw(st.lists(st.integers(0, n_items - 1), min_size=1, max_size=n_items - 1,
+                         unique=True))
+    warm = sorted(set(range(n_items)) - set(cold))
+    user = st.integers(0, n_users - 1)
+    held = draw(st.lists(st.tuples(user, st.sampled_from(cold)), min_size=1, max_size=10))
+    held += draw(st.lists(st.tuples(user, st.sampled_from(warm)), min_size=1, max_size=10))
+    return scores, _split_over(clicked, sorted(cold), np.array(held)), scenario
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scored_scenarios(), depth=st.sampled_from([1, 10, 40]),
+       cells=st.sampled_from([1, 37, evaluation._RANK_CELLS]))
+def test_block_prefix_equals_the_full_sort(case, depth, cells):
+    scores, split, scenario = case
+    ref = _reference_lists(scores, split, scenario)
+    # one user per block, an odd size that splits some pools' users, the default
+    with mock.patch.object(evaluation, "_RANK_CELLS", cells):
+        got = build_ranked_lists(scores, split, scenario, depth=depth)
+        rep = evaluate_scenario(scores, split, scenario, ks=(1, depth), with_ci=False)
+    assert [rl.user for rl in got] == [rl.user for rl in ref]
+    for g, r in zip(got, ref):
+        assert g.ranked.dtype == r.ranked.dtype
+        np.testing.assert_array_equal(g.ranked, r.ranked[:depth])
+        np.testing.assert_array_equal(g.relevant, r.relevant)
+        assert g.truncated == (depth < len(r.ranked))
+    for k in (1, depth):
+        assert rep.metric("hr", k).per_user.tolist() == hr_at_k(ref, k).per_user.tolist()
+        assert rep.metric("ndcg", k).per_user.tolist() == ndcg_at_k(ref, k).per_user.tolist()
+
+
+def _block_ranking_scratch(n_users=4096, n_items=1000):
+    """tracemalloc peak of ``build_ranked_lists`` to depth 10 on an 'all' pool
+    of ``n_items``, less what its outputs still hold."""
+    rng = np.random.default_rng(0)
+    held = np.column_stack((np.arange(n_users), rng.integers(0, n_items, n_users)))
+    split = _split_over(rng.random((n_users, n_items)) < 0.02, held=held)
+    scores = rng.random((n_users, n_items))
+    tracemalloc.start()
+    try:
+        lists = build_ranked_lists(scores, split, "all", depth=10)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lists) == n_users
+    return peak - current
+
+
+def test_block_ranking_scratch_memory_is_bounded():
+    # 2**16-cell blocks with one gather: about 1.7 MiB; 2**18-cell blocks
+    # take over 6 MiB, more when each user's whole score row is copied first
+    assert _block_ranking_scratch() < 3 * 2**20
+
+
+def test_evaluate_scenario_refuses_bad_ks_before_ranking(cold_split, monkeypatch):
+    def no_ranking(*args, **kwargs):
+        raise AssertionError("ranked before checking ks")
+
+    monkeypatch.setattr(evaluation, "build_ranked_lists", no_ranking)
+    scores = np.ones((4, 6))
+    for ks in ((), [], (0,), (10, -1), (2.5,), (True,), ("10",)):
+        with pytest.raises(ValueError, match="ks must be"):
+            evaluate_scenario(scores, cold_split, "all", ks=ks, with_ci=False)
+
+
+def test_metrics_refuse_k_past_a_truncated_list():
+    lists = [RankedList(user=0, ranked=np.array([7, 3, 9]), relevant=np.array([9, 4]),
+                        truncated=True)]
+    assert hr_at_k(lists, 3).per_user.tolist() == [0.5]
+    for metric in (hr_at_k, ndcg_at_k):
+        with pytest.raises(ValueError, match="past lists truncated at depth 3"):
+            metric(lists, 4)
+    # a caller-built list is full by default: any k reads it, as before
+    assert hr_at_k(_lists([7, 3, 9], [9, 4]), 10).per_user.tolist() == [0.5]
+
+
+def test_build_ranked_lists_refuses_a_depth_below_one(cold_split):
+    with pytest.raises(ValueError, match="depth must be"):
+        build_ranked_lists(np.ones((4, 6)), cold_split, "all", depth=0)
+
+
 def test_evaluate_scenario_ranks_non_finite_scores_by_the_stated_rule(cold_split):
     """+inf first, then finite scores descending, then -inf (masked
     positives too), then NaN; ties toward the lower item index."""
