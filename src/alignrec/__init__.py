@@ -61,6 +61,7 @@ from .features import (
 from .linalg import gram, solve_general
 from .solvers import (
     EaseConfig,
+    FitContext,
     ItemModel,
     MslimConfig,
     fit_ease,
@@ -87,7 +88,7 @@ __all__ = [
     "AttributeSpec", "FeatureBlock", "FeatureSet", "build_feature_set",
     "load_embedding_block", "multihot_encode", "tfidf_encode",
     "gram", "solve_general",
-    "EaseConfig", "ItemModel", "MslimConfig", "fit_ease", "fit_mslim",
+    "EaseConfig", "FitContext", "ItemModel", "MslimConfig", "fit_ease", "fit_mslim",
     "itemknn_scores", "load_model", "predict", "save_model",
     "__version__",
 ]

@@ -160,8 +160,9 @@ def fit_mix_coefficients(blocks, X_train, validation, grid):
 
     Scores are X_train @ G_mixed, judged by the first evaluation.SELECTION
     metric that evaluation.validation_metrics gives on ``validation`` (a
-    cold or a warm split). Ties prefer fewer nonzero coefficients, then
-    earlier grid position. A one-point grid is returned without scoring.
+    cold or a warm split), which forms them on the validation pool only.
+    Ties prefer fewer nonzero coefficients, then earlier grid position. A
+    one-point grid is returned without scoring.
     """
     grid = list(grid)
     if not grid:
@@ -170,13 +171,25 @@ def fit_mix_coefficients(blocks, X_train, validation, grid):
         return grid[0]
     metric, best = evaluation.SELECTION[0], None
     for idx, mu in enumerate(grid):
-        scores = np.asarray(X_train @ mix_similarities(blocks, mu))
-        key = (evaluation.validation_metrics(scores, validation)[metric], -mu.nnz)
+        g = mix_similarities(blocks, mu)
+        key = (evaluation.validation_metrics(X_train, g, validation)[metric], -mu.nnz)
+        del g  # one mixed similarity alive at a time
         if best is None or key > best[0]:
             best = (key, idx, mu)
     log.info("mix grid: picked point %d of %d (%s=%.4f)",
              best[1], len(grid), metric, best[0][0])
     return best[2]
+
+
+def _click_percentile(X, cfg):
+    """Per-item training click counts and their cfg.percentile-th percentile."""
+    r = np.asarray(X.sum(axis=0)).ravel()
+    return r, float(np.percentile(r, cfg.percentile))
+
+
+def popularity_falls_back(X, cfg):
+    """Whether popularity_regularizer(X, cfg) takes its p = 0 fallback."""
+    return _click_percentile(X, cfg)[1] == 0.0
 
 
 def popularity_regularizer(X, cfg):
@@ -187,8 +200,7 @@ def popularity_regularizer(X, cfg):
     d_j = beta * 2^(-r_j / p) (half-life p). If p = 0, falls back to
     d_j = beta on unclicked items only, with a warning.
     """
-    r = np.asarray(X.sum(axis=0)).ravel()
-    p = float(np.percentile(r, cfg.percentile))
+    r, p = _click_percentile(X, cfg)
     if p == 0.0:
         log.warning(
             "popularity percentile %.4g is 0 (many unclicked items); "
@@ -225,12 +237,20 @@ class AlignmentMatrix:
         check_dense_budget(*self.shape, what="alignment matrix")
         return self.alpha * np.asarray(self.X @ self.G) * self.d[None, :]
 
-    def xtb(self, xtx):
-        """X^T B as a dense items x items matrix, from the Gram xtx = X^T X."""
-        check_dense_budget(*xtx.shape, what="X^T B")
-        out = xtx @ self.G
+    def xtb(self, xtx, rows=None, cols=None):
+        """X^T B as a dense items x items matrix, from the Gram xtx = X^T X.
+
+        Given item index arrays ``rows`` and ``cols``, xtx is the Gram's
+        (rows, rows) block and only X^T B's (rows, cols) block is formed.
+        That is exact when no click of X falls outside ``rows``.
+        """
+        g, d = self.G, self.d
+        if rows is not None:
+            g, d = g[np.ix_(rows, cols)], d[cols]
+        check_dense_budget(xtx.shape[0], g.shape[1], what="X^T B")
+        out = xtx @ g
         out *= self.alpha
-        out *= self.d[None, :]
+        out *= d[None, :]
         return out
 
 

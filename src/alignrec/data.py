@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
+import io
 import json
 import math
 import os
@@ -337,25 +337,46 @@ def make_warm_split(d, min_user_clicks=20, negatives=100, seed=0, exclude=None):
     )
 
 
-def _write_pairs_csv(path, dataset, pairs, timestamps=None, values=True):
+def _csv_fields(values):
+    """Each value as csv.writer writes it inside a row (quoted when it holds a
+    comma, a quote or a line break), as an object array."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    fields = []
+    for v in values:
+        # an empty second field: a row of one empty field would be written as ""
+        w.writerow((v, ""))
+        fields.append(buf.getvalue()[:-2])
+        buf.seek(0)
+        buf.truncate()
+    return np.array(fields, dtype=object)
+
+
+def _write_pairs_csv(path, dataset, pairs, timestamps=None, values=True, fields=None):
     """Write (user_row, item_col) ``pairs`` as rows of ``dataset``'s ids.
 
-    The header is user,item[,value][,timestamp]; every value is 1. One
-    csv.writer call writes all rows, quoting ids that hold a comma or quote.
+    The header is user,item[,value][,timestamp]; every value is 1. Each id
+    is quoted once by the csv rules (``fields``: the ``_csv_fields`` of the
+    user and the item ids, computed when not given) and the file is one
+    string join of the cells and their separators: the bytes csv.writer
+    would write, without its per-row cost.
     """
     header = ["user", "item"]
-    columns = [np.array(dataset.user_ids, dtype=object)[pairs[:, 0]],
-               np.array(dataset.item_ids, dtype=object)[pairs[:, 1]]]
+    users, items = fields or (_csv_fields(dataset.user_ids), _csv_fields(dataset.item_ids))
+    columns = [users[pairs[:, 0]], items[pairs[:, 1]]]
     if values:
         header.append("value")
-        columns.append(itertools.repeat("1"))
+        columns.append("1")
     if timestamps is not None:
         header.append("timestamp")
-        columns.append(np.asarray(timestamps).tolist())
+        columns.append(list(map(str, np.asarray(timestamps).tolist())))
+    cells = np.empty((len(pairs), 2 * len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        cells[:, 2 * j] = column
+    cells[:, 1::2] = ","
+    cells[:, -1] = "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(zip(*columns))
+        fh.write(",".join(header) + "\n" + "".join(cells.ravel().tolist()))
 
 
 def write_json(path, payload):
@@ -403,10 +424,12 @@ def _save_split(split, outdir, held, **manifest):
     """
     os.makedirs(outdir, exist_ok=True)
     t = split.train
-    _write_pairs_csv(os.path.join(outdir, "train.csv"), t, t.interactions, t.timestamps)
+    fields = (_csv_fields(t.user_ids), _csv_fields(t.item_ids))
+    _write_pairs_csv(os.path.join(outdir, "train.csv"), t, t.interactions, t.timestamps,
+                     fields=fields)
     for name, pairs in held.items():
         _write_pairs_csv(os.path.join(outdir, f"{name}.csv"), t, pairs,
-                         values=name != "negatives")
+                         values=name != "negatives", fields=fields)
     write_json(os.path.join(outdir, "manifest.json"), dict(
         manifest, seed=split.seed, user_ids=list(t.user_ids), item_ids=list(t.item_ids),
         files={name: f"{name}.csv" for name in ("train", *held)},

@@ -239,15 +239,21 @@ def _pools(split, scenario, use):
 _RANK_CELLS = 2**16
 
 
-def build_ranked_lists(scores, split, scenario, use="test", depth=None):
+def build_ranked_lists(scores, split, scenario, use="test", depth=None, items=None):
     """The first ``depth`` places (None: all) of each user's pool of one
     scenario, in ``rank_candidates`` order: training positives masked to
     -inf, so they and any -inf score rank after every finite score, NaN after
     them, ties toward the lower item index. Per block of ``_RANK_CELLS`` pool
     cells, one ``np.lexsort`` orders each row's cells up to and tied with its
     depth-th key (the whole row when that key is NaN).
+
+    ``scores`` is users x items; given ``items`` (ascending, holding every
+    pool item), it is instead one row per ranked user, in ``_pools`` order,
+    and one column per entry of ``items``.
     """
     users, pools, relevant = _pools(split, scenario, use)
+    rows, cols = ((users, pools) if items is None else
+                  (np.arange(len(users)), np.searchsorted(items, pools)))
     width = pools.shape[1]
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -257,7 +263,8 @@ def build_ranked_lists(scores, split, scenario, use="test", depth=None):
     for lo in range(0, len(users), step):
         u = users[lo : lo + step]
         pool = pools[lo : lo + step] if len(pools) > 1 else pools
-        key = scores[u[:, None], pool].astype(np.float64, copy=False)
+        col = cols[lo : lo + step] if len(cols) > 1 else cols
+        key = scores[rows[lo : lo + step, None], col].astype(np.float64, copy=False)
         positives = split.train.X[u[:, None], pool].tocoo()
         key[positives.row, positives.col] = -np.inf
         np.negative(key, out=key)
@@ -283,24 +290,36 @@ def validation_scenario(split):
     return ("cold" if len(split.cold_val) else "all"), "val"
 
 
-def validation_metrics(scores, split):
-    """The SELECTION metrics on the validation target, keyed like SELECTION:
-    the one scorer of mix selection and the solver grid search."""
+def validation_metrics(X, T, split):
+    """The SELECTION metrics of the scores X @ T on the validation target,
+    keyed like SELECTION: the one scorer of mix selection and the solver
+    grid search.
+
+    Only the validation users' rows and the pool items' columns of X @ T
+    are formed, as X[users] @ T[:, items]. A CSR times dense product sums
+    each entry over its row's clicks in stored order, whatever the other
+    rows and columns, so the ranks are those of the full-width scores bit
+    for bit, and equal columns of T give exact ties.
+    """
     scenario, use = validation_scenario(split)
-    rep = evaluate_scenario(scores, split, scenario, ks=(_SELECTION_K,), use=use,
-                            with_ci=False)
+    users, pools, _ = _pools(split, scenario, use)
+    items = np.unique(pools)
+    T = T if len(items) == T.shape[1] else T[:, items]
+    rep = evaluate_scenario(np.asarray(X[users] @ T), split, scenario, ks=(_SELECTION_K,),
+                            use=use, with_ci=False, items=items)
     return {f"{m.name}@{m.k}": m.mean for m in rep.metrics}
 
 
 def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=METRICS,
                       use="test", with_ci=True, resamples=500, fraction=0.20,
-                      seed=None):
+                      seed=None, items=None):
     """Score one scenario and return an EvalReport with optional CIs.
 
     The pool is ranked once, to depth max(ks), and its hit ranks are
     computed once; every metric and k reduces over that table. The bootstrap
     seed defaults to the split's own seed so a rerun of the same experiment
-    reproduces the intervals byte for byte.
+    reproduces the intervals byte for byte. ``items`` marks pool-only
+    scores, as in ``build_ranked_lists``.
     """
     if not ks or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                          and k >= 1 for k in ks):
@@ -308,7 +327,8 @@ def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=METRICS,
     for name in metrics:
         if name not in METRICS:
             raise ValueError(f"unknown metric {name!r}, have {list(METRICS)}")
-    table = _hit_ranks(build_ranked_lists(scores, split, scenario, use=use, depth=max(ks)))
+    table = _hit_ranks(build_ranked_lists(scores, split, scenario, use=use, depth=max(ks),
+                                          items=items))
     if seed is None:
         seed = split.seed
     results = []

@@ -379,15 +379,19 @@ class _Pipeline:
                 exclude=self.split_.heldout,
             )
             self.val_d = alignment.popularity_regularizer(self.val.train.X, self.acfg)
+        self.popularity_fallback = any(alignment.popularity_falls_back(s.train.X, self.acfg)
+                                       for s in (self.split_, self.val))
         grid = self.cfg["alignment"]["mu_grid"]
         self.mu = alignment.fit_mix_coefficients(self.sims, self.val.train.X, self.val, grid)
         self.G = alignment.mix_similarities(self.sims, self.mu)
 
     def grid_search(self):
-        # the module-level grid_search; its model is None under the warm protocol
+        # the module-level grid_search; its model is None under the warm protocol.
+        # Every point fits the validation matrix through one context, dropped after.
+        context = solvers.FitContext(self.val.train.X)
         self.best_point, self.best_index, self.trace, self.model = grid_search(
-            build_grid(self.cfg["solver"]), self._validation_metrics,
-            workers=self.workers,
+            build_grid(self.cfg["solver"]),
+            lambda point: self._validation_metrics(point, context), workers=self.workers,
         )
 
     def persist_trace(self):
@@ -454,6 +458,8 @@ class _Pipeline:
             "selected": self.best_point,
             "selected_index": self.best_index,
             "grid_size": len(self.trace),
+            "grid_failed": sum(row["status"] == "failed" for row in self.trace),
+            "popularity_fallback": self.popularity_fallback,
             "files": {
                 "model": "model.bin",
                 "trace": "grid_trace.csv",
@@ -463,7 +469,7 @@ class _Pipeline:
         })
 
     # solver fitting -----------------------------------------------------
-    def _fit_point(self, X, d, point):
+    def _fit_point(self, X, d, point, context=None):
         name = self.cfg["solver"]["name"]
         acfg, solver_cfg = _point_configs(self.acfg, name, point)
         if name == "itemknn":
@@ -475,14 +481,14 @@ class _Pipeline:
         B = alignment.align(X, self.G, acfg, d=d)
         # looked up per call, so a wrapper set on the module after import sees every fit
         if name == "ease":
-            return solvers.fit_ease(X, solver_cfg, F=self.features, B=B)
-        return solvers.fit_mslim(X, solver_cfg, B=B)
+            return solvers.fit_ease(X, solver_cfg, F=self.features, B=B, context=context)
+        return solvers.fit_mslim(X, solver_cfg, B=B, context=context)
 
-    def _validation_metrics(self, point):
+    def _validation_metrics(self, point, context):
         """(metrics, model) of one grid point; the model only if fitted on the run's split."""
         X = self.val.train.X
-        model = self._fit_point(X, self.val_d, point)
-        metrics = evaluation.validation_metrics(solvers.predict(model, X), self.val)
+        model = self._fit_point(X, self.val_d, point, context)
+        metrics = evaluation.validation_metrics(X, model.theta, self.val)
         return metrics, model if self.val is self.split_ else None
 
 

@@ -6,9 +6,12 @@ Conventions
   access is served by a one-time transposed/CSC copy where needed
 - dense matrices are float64 ndarrays; all accumulation is double precision
 - Gram outputs are symmetrized post hoc so ``G == G.T`` holds bitwise
-- linear solves always use a general pivoted LU factorization: the aligned
-  systems contain a non-symmetric cross term, so symmetric-only methods
-  are never safe here
+- linear solves use a general pivoted LU factorization unless the caller
+  states that the matrix is symmetric positive definite by construction
+  (``invert(m, spd=True)``, a Cholesky). The aligned systems carry the
+  non-symmetric cross term X^T B, so the solvers claim SPD only for a warm
+  block with no decay weight on a warm item: there the block is X^T X
+  times a non-negative scale plus lambda1 I with lambda1 > 0
 """
 
 from __future__ import annotations
@@ -63,12 +66,17 @@ def gram(a):
     return _symmetrize(c)
 
 
-def _lu_factor(m):
-    """Pivoted LU of a square matrix; raises on singularity."""
+def _square(m):
+    """m as float64 and its 1-norm; ValueError unless m is square."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    anorm = np.abs(m).sum(axis=0).max() if m.size else 0.0
+    return m, (np.abs(m).sum(axis=0).max() if m.size else 0.0)
+
+
+def _lu_factor(m):
+    """Pivoted LU of a square matrix; raises on singularity."""
+    m, anorm = _square(m)
     lu, piv, info = lapack.dgetrf(m)
     if info > 0:
         raise SingularMatrixError(
@@ -78,16 +86,21 @@ def _lu_factor(m):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrf")
     rcond, _ = lapack.dgecon(lu, anorm, norm="1")
-    if not rcond >= RCOND_FLOOR:  # a NaN rcond (non-finite entries) fails too
-        # smallest |U_ii| marks the offending pivot
-        pivot = int(np.argmin(np.abs(np.diag(lu))))
+    _require_rcond(rcond, lu)
+    return lu, piv
+
+
+def _require_rcond(rcond, factor):
+    """Raise SingularMatrixError unless rcond >= RCOND_FLOOR (a NaN fails too)."""
+    if not rcond >= RCOND_FLOOR:
+        # the factor's smallest |diagonal| entry marks the offending pivot
+        pivot = int(np.argmin(np.abs(np.diag(factor))))
         raise SingularMatrixError(
             f"matrix is singular to working precision "
             f"(rcond={rcond:.3e} < {RCOND_FLOOR:.0e}, pivot {pivot}); "
             f"raise the ridge terms if this came from a solver",
             pivot=pivot,
         )
-    return lu, piv
 
 
 def solve_general(m, rhs):
@@ -114,6 +127,30 @@ def solve_general(m, rhs):
     return x[:, 0] if squeeze else x
 
 
-def invert(m):
-    """Dense inverse via solve_general against the identity."""
-    return solve_general(m, np.eye(m.shape[0]))
+def invert(m, spd=False):
+    """Dense inverse of a square matrix.
+
+    By default solve_general against the identity. With ``spd`` (the caller
+    knows m is symmetric positive definite by construction) a Cholesky
+    factorization (dpotrf, only m's upper triangle is read) and dpotri,
+    mirrored from the upper triangle so the inverse is bitwise symmetric. A
+    non-positive pivot or rcond < 1e-12 raises SingularMatrixError.
+    """
+    if not spd:
+        return solve_general(m, np.eye(m.shape[0]))
+    m, anorm = _square(m)
+    c, info = lapack.dpotrf(m)
+    if info > 0:
+        raise SingularMatrixError(
+            f"matrix is not positive definite to working precision "
+            f"(leading minor {info})", pivot=info - 1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    rcond, _ = lapack.dpocon(c, anorm)
+    _require_rcond(rcond, c)
+    inv, info = lapack.dpotri(c, overwrite_c=1)
+    if info != 0:
+        raise SingularMatrixError(f"dpotri failed with info={info}", pivot=None)
+    lower = np.tril_indices(len(inv), -1)
+    inv[lower] = inv.T[lower]
+    return inv

@@ -13,16 +13,21 @@ Two backbones share the aligned-system structure:
   directly when the capacitance would be as large as K or fails the rcond
   check, and every column does when K itself is singular.
 
-Both start from S = X^T (X + B), formed in one place with X^T B taken from
-the Gram; an alignment matrix B acts when it is given with alpha != 0. X^T B
-is non-symmetric, so every solve here uses a general pivoted factorization.
-A fit whose weights are not all finite raises SolverError.
+Both start from S = X^T (X + B), with X^T B taken from the Gram; an
+alignment matrix B acts when it is given with alpha != 0. Items with an
+empty training column are eliminated exactly on the block route (see
+FitContext). X^T B is non-symmetric, so a solve uses a general pivoted LU
+factorization, except the warm block's inverse when no warm item carries a
+decay weight: then the block is X_W^T X_W (times w1 >= 0 under MSLIM) plus
+lambda1 I with lambda1 > 0, symmetric positive definite, and a Cholesky
+inverts it. A fit whose weights are not all finite raises SolverError.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -113,6 +118,82 @@ def _aligned_system(X, B):
     return X, s, True
 
 
+@dataclass(frozen=True)
+class _WarmBlock:
+    """The warm/cold blocks of S = X^T (X + B) that a block-route fit reads."""
+
+    ww: np.ndarray         # S_WW; shared by every fit, so never changed in place
+    wc: np.ndarray | None  # S_WC on the distinct cold columns; None when B does not act
+    cold_index: np.ndarray | None  # each cold item's column of wc
+    warm_decay: bool       # some warm item has a decay weight, so S_WW != X_W^T X_W
+
+
+class FitContext:
+    """What every fit on one training matrix X shares.
+
+    Items with an empty training column (C, the cold items under the cold
+    protocol) have zero rows in X^T X and X^T B, so with W the other items
+    the aligned systems are block upper-triangular with a lambda1 I corner.
+    fit_ease (unless lambda0 > 0 with F) and fit_mslim (lambda1 > 0) then
+    eliminate C exactly: the C rows of theta are zero, theta_WW is the
+    solver on the warm block, and a cold column is the warm block's inverse
+    times its column of S_WC (scaled by w1 under MSLIM). Cold items whose
+    warm rows of G and decay weights are equal byte for byte share one
+    solved column, copied to each, so their scores tie exactly. A matrix
+    with no empty column, or only empty ones, has no block route.
+
+    The context holds the W/C partition and, built on first use per
+    alignment matrix B (its G object, alpha and d), S_WW and the distinct
+    columns of S_WC, from one gram and one B.xtb call. It is safe to share
+    between threads; drop it when its fits are done.
+    """
+
+    def __init__(self, X):
+        self.X = sp.csr_matrix(X)
+        n = self.X.shape[1]
+        clicked = np.bincount(self.X.indices, minlength=n) > 0
+        self.warm, self.cold = np.flatnonzero(clicked), np.flatnonzero(~clicked)
+        self.block = 0 < len(self.cold) < n
+        self.X_warm = self._gram = None
+        self._blocks = {}
+        self._lock = threading.Lock()
+
+    def warm_block(self, B):
+        """The _WarmBlock of alignment B (None or alpha = 0: no alignment)."""
+        aligned = B is not None and B.alpha != 0.0
+        key = (id(B.G), B.alpha, B.d.tobytes()) if aligned else None
+        with self._lock:
+            if self._gram is None:
+                self.X_warm = self.X[:, self.warm]
+                self._gram = gram(self.X_warm)
+            if key not in self._blocks:
+                # the entry keeps B.G alive, so no other G can take its id
+                self._blocks[key] = ((B.G, self._aligned_block(B)) if aligned else
+                                     (None, _WarmBlock(self._gram, None, None, False)))
+            return self._blocks[key][1]
+
+    def _aligned_block(self, B):
+        W, C, a = self.warm, self.cold, self._gram
+        keys = np.ascontiguousarray(np.vstack([B.G[np.ix_(W, C)], B.d[None, C]]).T)
+        _, first, index = np.unique(keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel(),
+                                    return_index=True, return_inverse=True)
+        warm_decay = bool(B.d[W].any())
+        if not warm_decay:  # X^T B vanishes on W x W: S_WW is the Gram block itself
+            return _WarmBlock(a, B.xtb(a, rows=W, cols=C[first]), index.ravel(), False)
+        xtb = B.xtb(a, rows=W, cols=np.concatenate([W, C[first]]))
+        ww = xtb[:, :len(W)] + a
+        return _WarmBlock(ww, np.ascontiguousarray(xtb[:, len(W):]), index.ravel(), True)
+
+
+def _context(X, context):
+    """``context``, checked against X, or a new FitContext of X."""
+    if context is None:
+        return FitContext(X)
+    if context.X.shape != X.shape:
+        raise ValueError(f"the fit context is of a {context.X.shape} matrix, X is {X.shape}")
+    return context
+
+
 def _fitted(theta, solver, cfg, aligned, X, t0, **diagnostics):
     """The fit's ItemModel: its config plus use_alignment, and its diagnostics."""
     diagnostics.update(n_items=int(X.shape[1]), n_users=int(X.shape[0]),
@@ -122,53 +203,94 @@ def _fitted(theta, solver, cfg, aligned, X, t0, **diagnostics):
                      diagnostics=diagnostics)
 
 
-def fit_ease(X, cfg, F=None, B=None):
+def _route_facts(ctx, wb, spd):
+    """How a fit solved, for its sidecar: the route, the factorization of its
+    shared matrix and the cold columns solved (on the block route each
+    distinct one once, none without alignment)."""
+    solved = len(ctx.cold) if wb is None else 0 if wb.wc is None else wb.wc.shape[1]
+    return {"route": "general" if wb is None else "block",
+            "factorization": "cholesky" if spd else "lu", "cold_columns_solved": solved}
+
+
+def _block_theta(ctx, theta_ww, theta_wc, wb):
+    """The n x n theta with theta_WW and the cold columns (theta_wc holds one
+    per distinct cold column of ``wb``) in place, zero elsewhere."""
+    n = ctx.X.shape[1]
+    theta = np.zeros((n, n))
+    theta[np.ix_(ctx.warm, ctx.warm)] = theta_ww
+    if theta_wc is not None:
+        theta[np.ix_(ctx.warm, ctx.cold)] = theta_wc[:, wb.cold_index]
+    return theta
+
+
+def _ease_weights(p, lambda1, items):
+    """EASE's theta from P = M^-1, before its diagonal is zeroed; ``items``
+    names P's columns in errors."""
+    dp = np.diag(p)
+    degenerate = np.flatnonzero(dp == 0.0)
+    if len(degenerate):
+        cols = items[degenerate].tolist()
+        raise SolverError(f"degenerate items {cols}: zero diagonal in the inverse",
+                          columns=cols)
+    # the correction is applied in place: one n x n buffer fewer at peak
+    theta = np.eye(len(p)) - lambda1 * p
+    theta -= p * (np.diag(theta) / dp)[None, :]
+    return theta
+
+
+def fit_ease(X, cfg, F=None, B=None, context=None):
     """Closed-form aligned EASE fit.
 
     Inverts M = X^T (X + B) + lambda1 I + lambda0 FF^T once, forms the
     unconstrained solution theta_tilde = I - lambda1 P, then applies the
     diagonal correction theta = theta_tilde - P diag(theta_tilde)/diag(P)
     so self-similarities vanish. With B absent (or alpha = 0) and
-    lambda0 = 0 this is the textbook EASE estimator.
+    lambda0 = 0 this is the textbook EASE estimator. ``context`` is a
+    FitContext of X to share between fits; without lambda0 FF^T its block
+    route inverts only the warm block M_WW, and theta_WC = M_WW^-1 S_WC.
     """
     t0 = time.perf_counter()
-    X, m, aligned = _aligned_system(X, B)
-    n = X.shape[1]
-    m.flat[::n + 1] += cfg.lambda1
-    if cfg.lambda0 > 0 and F is not None:
+    ctx = _context(X, context)
+    aligned = B is not None and B.alpha != 0.0
+    block = ctx.block and not (cfg.lambda0 > 0 and F is not None)
+    if block:
+        wb = ctx.warm_block(B)
+        m, items, spd = wb.ww.copy(), ctx.warm, not wb.warm_decay
+    else:
+        _, m, aligned = _aligned_system(X, B)
+        items, spd = np.arange(m.shape[0]), False
+    m.flat[::len(m) + 1] += cfg.lambda1
+    if cfg.lambda0 > 0 and F is not None:  # only on the general route
         m += cfg.lambda0 * _feature_item_gram(F)
     try:
-        p = invert(m)
+        p = invert(m, spd=spd)
     except SingularMatrixError as e:
         raise SolverError(
             f"aligned system is singular ({e}); increase lambda1"
         ) from e
-    dp = np.diag(p)
-    degenerate = np.flatnonzero(dp == 0.0)
-    if len(degenerate):
-        raise SolverError(
-            f"degenerate items {degenerate.tolist()}: zero diagonal in the inverse",
-            columns=degenerate.tolist(),
-        )
-    # the correction is applied in place: one n x n buffer fewer at peak
-    theta = np.eye(n) - cfg.lambda1 * p
-    theta -= p * (np.diag(theta) / dp)[None, :]
+    del m
+    theta = _ease_weights(p, cfg.lambda1, items)
+    if block:
+        theta = _block_theta(ctx, theta, None if wb.wc is None else p @ wb.wc, wb)
     _check_finite(theta)
     diag_residual = float(np.abs(np.diag(theta)).max())
     np.fill_diagonal(theta, 0.0)
-    return _fitted(theta, "ease", cfg, aligned, X, t0, diag_residual_max=diag_residual)
+    return _fitted(theta, "ease", cfg, aligned, ctx.X, t0, diag_residual_max=diag_residual,
+                   **_route_facts(ctx, wb if block else None, spd))
 
 
 _ROUTES = ("rank_one", "woodbury", "direct")  # diagnostics count the columns of each
 
 
-def _mslim_columns(cols, k, p, m, q, Xcsr, Xcsc, cfg, theta, route, failures):
+def _mslim_columns(cols, k, p, m, q, Xcsr, Xcsc, cfg, n, theta, route, failures):
     """Solve the listed columns into ``theta``; ``route[i]`` indexes _ROUTES.
 
     The clicking users' rows X_i give V_i = X_i M and V_i P = X_i Q, so a
-    Woodbury column needs one sparse product with a dense n x n matrix.
+    Woodbury column needs one sparse product with a dense matrix the size of
+    K. A column with r_i + 1 >= n, n the item count of the whole fit, is
+    solved directly on either route.
     """
-    w_gap, shift, n = cfg.w0 - cfg.w1, cfg.lambda1 + cfg.gamma1, k.shape[0]
+    w_gap, shift = cfg.w0 - cfg.w1, cfg.lambda1 + cfg.gamma1
     for i in cols:
         rows = Xcsc.indices[Xcsc.indptr[i]:Xcsc.indptr[i + 1]] if w_gap != 0.0 else ()
         r = len(rows)
@@ -210,7 +332,7 @@ def _mslim_columns(cols, k, p, m, q, Xcsr, Xcsc, cfg, theta, route, failures):
             failures.append((i, str(e)))
 
 
-def fit_mslim(X, cfg, B=None, workers=1):
+def fit_mslim(X, cfg, B=None, workers=1, context=None):
     """Per-column weighted ridge fit (modified SLIM).
 
     Column i is t = e_i - (lambda1 + gamma1) S_i^-1 e_i, the solution of S_i t
@@ -221,25 +343,41 @@ def fit_mslim(X, cfg, B=None, workers=1):
     once. A column with no click update takes a closed form, any other a
     Woodbury step; S_i is solved directly when r_i + 1 >= n, its capacitance
     fails the rcond check, or K is singular. Workers never change the result.
+
+    ``context`` is a FitContext of X to share between fits. With lambda1 > 0
+    its block route fits the warm columns on the warm block alone and sets
+    a cold column to K_WW^-1 K_WC (counted as a closed form), whatever gamma1
+    is; with lambda1 = 0 and an empty column, K is singular and the general
+    route names the singular columns.
     """
     t0 = time.perf_counter()
-    Xcsr, k, aligned = _aligned_system(X, B)
+    ctx = _context(X, context)
+    aligned = B is not None and B.alpha != 0.0
+    block = ctx.block and cfg.lambda1 > 0
+    if block:
+        wb = ctx.warm_block(B)
+        Xcsr, k, items, spd = ctx.X_warm, cfg.w1 * wb.ww, ctx.warm, not wb.warm_decay
+        h = B.item_map()[np.ix_(items, items)] if wb.warm_decay else None
+    else:
+        Xcsr, k, aligned = _aligned_system(X, B)
+        k *= cfg.w1
+        items, spd = np.arange(k.shape[0]), False
+        h = B.item_map() if aligned else None
     Xcsc = Xcsr.tocsc()
-    n = Xcsr.shape[1]
-    k *= cfg.w1
+    n = len(k)
     k.flat[::n + 1] += cfg.lambda1
-    m = np.eye(n) + (B.item_map() if aligned else 0.0)  # V_i = X_i M
+    m = np.eye(n) + (0.0 if h is None else h)  # V_i = X_i M
     try:
-        p = invert(k)
+        p = invert(k, spd=spd)
     except SingularMatrixError:
         p = q = None  # every column solves directly; a singular one fails
     else:
-        q = m @ p if aligned else p
+        q = p if h is None else m @ p
 
     theta = np.zeros((n, n))
     route = np.zeros(n, dtype=np.int8)
     failures = []
-    args = (k, p, m, q, Xcsr, Xcsc, cfg, theta, route, failures)
+    args = (k, p, m, q, Xcsr, Xcsc, cfg, ctx.X.shape[1], theta, route, failures)
     if workers <= 1:
         _mslim_columns(range(n), *args)
     else:
@@ -248,18 +386,30 @@ def fit_mslim(X, cfg, B=None, workers=1):
             futs = [pool.submit(_mslim_columns, chunk, *args) for chunk in chunks if len(chunk)]
             for f in futs:
                 f.result()
+    failures = [(int(items[i]), e) for i, e in failures]
+    if block:
+        cold = None
+        if wb.wc is not None:
+            k_wc = cfg.w1 * wb.wc
+            try:
+                cold = p @ k_wc if p is not None else solve_general(k, k_wc)
+            except SingularMatrixError as e:
+                failures += [(int(c), str(e)) for c in ctx.cold]
+        theta = _block_theta(ctx, theta, cold, wb)
+        route = np.concatenate([route, np.zeros(len(ctx.cold), dtype=np.int8)])
     if failures:
         failures.sort(key=lambda t: t[0])
         cols = [i for i, _ in failures]
         raise SolverError(
-            f"{len(failures)} of {n} column systems are singular "
+            f"{len(failures)} of {len(theta)} column systems are singular "
             f"(first: column {cols[0]}: {failures[0][1]}); "
             f"increase lambda1 or gamma1",
             columns=cols,
         )
     _check_finite(theta)
     routes = dict(zip(_ROUTES, np.bincount(route, minlength=3).tolist()))
-    return _fitted(theta, "mslim", cfg, aligned, Xcsr, t0, columns_by_route=routes)
+    return _fitted(theta, "mslim", cfg, aligned, ctx.X, t0, columns_by_route=routes,
+                   **_route_facts(ctx, wb if block else None, spd))
 
 
 def itemknn_scores(X_user_rows, G):

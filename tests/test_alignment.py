@@ -255,6 +255,12 @@ def test_xtb_from_the_gram_matches_the_materialized_product(seed, n_items, n_col
     direct = X.T @ B.materialize()
     tol = 1e-12 * max(1.0, np.abs(direct).max())
     np.testing.assert_allclose(B.xtb(gram(X)), direct, rtol=0, atol=tol)
+    # a block from the Gram of the clicked columns alone
+    rows = np.flatnonzero(x.any(axis=0))
+    cols = rng.permutation(n_items)[:int(rng.integers(1, n_items + 1))]
+    if len(rows):
+        np.testing.assert_allclose(B.xtb(gram(X[:, rows]), rows=rows, cols=cols),
+                                   direct[np.ix_(rows, cols)], rtol=0, atol=tol)
 
 
 def test_align_defaults_decay_to_popularity():

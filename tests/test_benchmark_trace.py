@@ -74,13 +74,19 @@ def test_traced_sample_reports_every_per_layer_metric(tmp_path, name):
     # every pool ranks only to depth max(ks) = 10, and every tiny pool holds
     # at least 10 items, so a return to full sorts shows here
     assert metrics["evaluation.candidates_ranked"] == 10 * metrics["evaluation.users_ranked"]
+    # validation scores only the pool, so predict runs once, in evaluate
+    train = load_split(str(tmp_path / "out" / "splits")).train
+    assert metrics["solvers.predict.bytes"] == train.n_users * train.n_items * 8
+    if name.startswith("cold"):
+        # one fit context per training matrix: one Gram and one cross term
+        assert metrics["linalg.gram.per_matrix"] == metrics["alignment.apply.per_matrix"] == 1.0
     if name == "cold-mslim":
-        # per grid point, one inverse of the shared matrix plus one solve per
-        # clicked item (its Woodbury capacitance, or its direct system when
-        # r_i + 1 >= n); a cold item's closed form solves nothing. The cold
-        # refit adopts the grid's winner instead of fitting it again.
+        # per grid point, one inverse of the shared warm block K_WW plus one
+        # solve per clicked item (its Woodbury capacitance, or its direct
+        # system when r_i + 1 >= n); the cold columns are one product with
+        # that inverse and solve nothing. The cold refit adopts the grid's
+        # winner instead of fitting it again.
         points = metrics["experiment.grid_points"]
-        clicked = int((np.diff(load_split(str(tmp_path / "out" / "splits"))
-                               .train.X.tocsc().indptr) > 0).sum())
+        clicked = int((np.diff(train.X.tocsc().indptr) > 0).sum())
         assert 0 < clicked < data["n_items"]
         assert metrics["linalg.factor.calls"] == points * (1 + clicked)

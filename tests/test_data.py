@@ -420,3 +420,46 @@ def test_write_dataset_csvs_bytes_are_pinned(tmp_path):
         user_ids=tuple(f'u,{u}"q' if u % 3 == 0 else f"u {u}" for u in range(d.n_users)),
         item_ids=tuple(f'i"{j},x' if j % 2 else f"i{j}" for j in range(d.n_items)))
     assert _digests(odd, meta, tmp_path / "odd") == _ODD_ID_DIGESTS
+
+
+def test_split_files_equal_the_csv_writer_bytes_for_awkward_ids(tmp_path):
+    # ids holding commas, quotes, newlines, spaces and nothing at all are
+    # quoted once by the csv rules; every file is what csv.writer writes, and
+    # a warm split reads back to the same split
+    import csv
+
+    user_ids = ("plain", 'say "hi"', "a,b", "two\nlines", "tab\there", " padded ", "")
+    item_ids = ("i0", 'q"', "x,y,z", "nl\n", "é ü", "", "last")
+    rng = np.random.default_rng(0)
+    clicked = rng.random((len(user_ids), len(item_ids))) < 0.5
+    clicked[:, :2], clicked[:, -1] = True, False  # two clicks and one free item each
+    pairs = np.argwhere(clicked).astype(np.int64)
+    stamps = rng.integers(0, 10**12, size=len(pairs))
+    d = Dataset.from_pairs(pairs, user_ids, item_ids, stamps)
+    split = make_warm_split(d, min_user_clicks=2, negatives=1, seed=0)
+    save_warm_split(split, str(tmp_path / "s"))
+
+    def reference(rows, header):
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+        return (tmp_path / "ref.csv").read_bytes()
+
+    t = split.train
+    ids = lambda p: [(t.user_ids[u], t.item_ids[i]) for u, i in p]  # noqa: E731
+    train = [(u, i, "1", s) for (u, i), s in zip(ids(t.interactions), t.timestamps.tolist())]
+    users = np.arange(len(split.heldout))
+    negatives = np.column_stack([np.repeat(users, split.negatives.shape[1]),
+                                 split.negatives.ravel()])
+    assert (tmp_path / "s" / "train.csv").read_bytes() == reference(
+        train, ["user", "item", "value", "timestamp"])
+    assert (tmp_path / "s" / "test.csv").read_bytes() == reference(
+        [(u, i, "1") for u, i in ids(np.column_stack([users, split.heldout]))],
+        ["user", "item", "value"])
+    assert (tmp_path / "s" / "negatives.csv").read_bytes() == reference(
+        ids(negatives), ["user", "item"])
+    back = load_split(str(tmp_path / "s"))
+    assert back.train.user_ids == t.user_ids and back.train.item_ids == t.item_ids
+    assert np.array_equal(back.heldout, split.heldout)
+    assert np.array_equal(back.negatives, split.negatives)

@@ -541,3 +541,55 @@ def test_evaluate_scenario_rejects_unknown_metric(cold_split):
     scores = np.ones((4, 6))
     with pytest.raises(ValueError, match="unknown metric"):
         evaluate_scenario(scores, cold_split, "all", metrics=("mrr",), with_ci=False)
+
+
+@st.composite
+def validation_cases(draw):
+    """A training matrix, item weights T whose products tie, overflow or hold
+    NaN, and a validation target: a cold split with or without cold
+    validation pairs (the cold or the all pool), or a warm split."""
+    n_users, n_items = draw(st.integers(1, 8)), draw(st.integers(2, 12))
+    clicked = np.array(draw(st.lists(st.booleans(), min_size=n_users * n_items,
+                                     max_size=n_users * n_items))).reshape(n_users, n_items)
+    T = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, -1.0, 0.1, 1 / 3, 1e308,
+                                                np.inf, np.nan]),
+                               min_size=n_items * n_items, max_size=n_items * n_items)))
+    T = T.reshape(n_items, n_items)
+    kind = draw(st.sampled_from(["cold", "all", "leave_one_out"]))
+    if kind == "leave_one_out":
+        width = draw(st.integers(2, n_items))
+        pools = np.array([draw(st.permutations(range(n_items)))[:width] for _ in range(n_users)])
+        return clicked, T, _split_over(clicked, heldout=pools[:, 0], negatives=pools[:, 1:])
+    cold = draw(st.lists(st.integers(0, n_items - 1), min_size=1, max_size=n_items - 1,
+                         unique=True))
+    warm = sorted(set(range(n_items)) - set(cold))
+    user = st.integers(0, n_users - 1)
+    held = draw(st.lists(st.tuples(user, st.sampled_from(warm)), min_size=1, max_size=10))
+    if kind == "cold":
+        held += draw(st.lists(st.tuples(user, st.sampled_from(cold)), min_size=1,
+                              max_size=10))
+    return clicked, T, _split_over(clicked, sorted(cold), np.array(held))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=validation_cases())
+def test_pool_only_validation_scores_rank_like_full_width_predict(case):
+    from alignrec import ItemModel, predict
+
+    clicked, T, split = case
+    X = split.train.X
+    scenario, use = evaluation.validation_scenario(split)
+    full = predict(ItemModel(theta=T, solver="test"), X)
+    users, pools, _ = evaluation._pools(split, scenario, use)
+    items = np.unique(pools)
+    expected = build_ranked_lists(full, split, scenario, use=use, depth=10)
+    got = build_ranked_lists(np.asarray(X[users] @ T[:, items]), split, scenario, use=use,
+                             depth=10, items=items)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.user == b.user and a.truncated == b.truncated
+        assert np.array_equal(a.ranked, b.ranked) and np.array_equal(a.relevant, b.relevant)
+    # the one scorer of selection against the full-width scores it replaced
+    rep = evaluate_scenario(full, split, scenario, ks=(10,), use=use, with_ci=False)
+    assert evaluation.validation_metrics(X, T, split) == {
+        f"{m.name}@{m.k}": m.mean for m in rep.metrics}

@@ -703,3 +703,39 @@ def test_compare_reports_single_report_has_no_lift_row(tmp_path):
 def test_compare_reports_rejects_empty_list():
     with pytest.raises(ValueError, match="no reports"):
         compare_reports([])
+
+
+def _run_facts(outdir):
+    with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    with open(os.path.join(outdir, "model.bin.json"), encoding="utf-8") as fh:
+        return manifest, json.load(fh)["diagnostics"]
+
+
+def test_cold_run_records_its_route_and_branch_facts(planted_config):
+    # a cold mslim grid whose lambda1 = 0 point fails: the cold items' empty
+    # columns leave its K singular
+    outdir = run_experiment(planted_config(solver="mslim",
+                                           grid={"lambda1": [0.0, 0.5], "w1": [0.5]}))
+    manifest, facts = _run_facts(outdir)
+    assert manifest["grid_failed"] == 1 and manifest["grid_size"] == 2
+    # a fifth of the items have no training click, so the 10th percentile is 0
+    assert manifest["popularity_fallback"] is True
+    assert facts["route"] == "block" and facts["factorization"] == "cholesky"
+    split = load_split(os.path.join(outdir, "splits"))
+    theta = load_model(os.path.join(outdir, "model.bin")).theta
+    cold, warm = split.cold_cols, np.setdiff1d(np.arange(split.train.n_items), split.cold_cols)
+    pipe = _Pipeline(load_config(planted_config(solver="mslim", name="again")))
+    for stage in ("load", "split", "featurize", "fit-mix"):
+        pipe._stage(stage)
+    G = pipe.G
+    assert facts["cold_columns_solved"] == len({G[warm, c].tobytes() for c in cold})
+    assert len({theta[:, c].tobytes() for c in cold}) <= facts["cold_columns_solved"]
+
+
+def test_warm_run_records_the_general_route_and_no_fallback(planted_config):
+    manifest, facts = _run_facts(run_experiment(planted_config(protocol="warm", negatives=20)))
+    assert manifest["grid_failed"] == 0
+    assert manifest["popularity_fallback"] is False
+    assert facts["route"] == "general" and facts["factorization"] == "lu"
+    assert facts["cold_columns_solved"] == 0

@@ -105,3 +105,22 @@ def test_invert_matches_numpy():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((6, 6)) + 6 * np.eye(6)
     np.testing.assert_allclose(invert(m), np.linalg.inv(m), atol=1e-10)
+
+
+def test_spd_invert_is_a_symmetric_cholesky_inverse():
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 7, 40):
+        a = rng.standard_normal((2 * n, n))
+        m = a.T @ a + 0.5 * np.eye(n)
+        p = invert(m, spd=True)
+        assert np.array_equal(p, p.T)
+        np.testing.assert_allclose(p, invert(m), rtol=0, atol=1e-10 * np.abs(p).max())
+
+
+def test_spd_invert_refuses_indefinite_and_near_singular_matrices():
+    with pytest.raises(SingularMatrixError, match="positive definite"):
+        invert(np.array([[1.0, 2.0], [2.0, 1.0]]), spd=True)
+    with pytest.raises(SingularMatrixError, match="rcond"):
+        invert(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), spd=True)
+    with pytest.raises(ValueError, match="square"):
+        invert(np.ones((2, 3)), spd=True)
