@@ -202,16 +202,13 @@ def _timestamp(text):
 def _index_ids(ids):
     """Number ``ids`` densely in first-appearance order.
 
-    Returns the code of each entry and the distinct ids in code order. The
-    array is of dtype object because numpy's fixed-width strings drop
-    trailing NULs, which would merge distinct ids.
+    Returns the code of each entry and the distinct ids in code order. A
+    dict keyed on the ids numbers them in one pass, without sorting, and
+    keeps ids apart that differ only by trailing NULs.
     """
-    distinct, first, inverse = np.unique(
-        np.array(ids, dtype=object), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    code = np.empty_like(order)
-    code[order] = np.arange(len(order))
-    return code[inverse], tuple(distinct[order].tolist())
+    codes = {}
+    code = np.fromiter((codes.setdefault(i, len(codes)) for i in ids), np.int64, len(ids))
+    return code, tuple(codes)
 
 
 def make_cold_split(d, cold_fraction=0.20, warm_fractions=(0.80, 0.10, 0.10), seed=0):
@@ -339,14 +336,17 @@ def make_warm_split(d, min_user_clicks=20, negatives=100, seed=0, exclude=None):
 
 def _csv_fields(values):
     """Each value as csv.writer writes it inside a row (quoted when it holds a
-    comma, a quote or a line break), as an object array."""
+    comma, a quote or a line break), as an object array. A bare carriage
+    return is quoted too: with a newline terminator the writer leaves it
+    bare, and the reader would end the row there."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     fields = []
     for v in values:
         # an empty second field: a row of one empty field would be written as ""
         w.writerow((v, ""))
-        fields.append(buf.getvalue()[:-2])
+        field = buf.getvalue()[:-2]
+        fields.append(f'"{field}"' if "\r" in field and field[0] != '"' else field)
         buf.seek(0)
         buf.truncate()
     return np.array(fields, dtype=object)

@@ -6,11 +6,11 @@ over min(k, |relevant|) positions. Score ties always break toward the
 lower item index so reruns and reorderings reproduce the same tables.
 
 Each scenario ranks every user's pool once (``build_ranked_lists``), to
-depth max(ks) and ``_RANK_CELLS`` pool cells at a time, and reduces the
-lists to one hit-rank table that every metric and k reads. The table is
-built from one vectorized membership test per chunk of ``_HIT_CHUNK``
-lists, keyed on (list, item), so its scratch memory is a few MB whatever
-the number of users.
+depth max(ks) and ``_RANK_CELLS`` pool cells at a time, into one users x
+depth array. One ``np.searchsorted`` of its keys user * n_items + item into
+the sorted relevant keys gives the hit-rank table that every metric and k
+reads. Caller-built lists go ``_HIT_CHUNK`` at a time, padded with -1, so
+the table's scratch memory is a few MB whatever the number of users.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -69,8 +70,39 @@ def rank_candidates(scores_row, candidates):
     return candidates[order]
 
 
-# lists per membership test in _hit_ranks: few enough that one chunk's int64
-# keys stay a few MB at any user count, many enough to amortize each test
+@dataclass(frozen=True, eq=False)
+class RankedLists:
+    """Ranked lists as arrays: row i of ``ranked`` ranks user ``users[i]``,
+    ``relevant`` holds the sorted keys user * n_items + item. ``len``,
+    integer indexing and iteration give RankedList views, ``+`` a list."""
+
+    users: np.ndarray
+    ranked: np.ndarray
+    relevant: np.ndarray
+    n_items: int
+    truncated: bool
+
+    def __len__(self):
+        return len(self.users)
+
+    def __getitem__(self, i):
+        user, n = int(self.users[i]), self.n_items
+        lo, hi = np.searchsorted(self.relevant, [user * n, user * n + n])
+        return RankedList(user, self.ranked[i], self.relevant[lo:hi] % n, self.truncated)
+
+    def __iter__(self):
+        cuts = np.searchsorted(self.relevant, self.users[1:] * self.n_items).tolist()
+        items = self.relevant % self.n_items
+        return map(RankedList, self.users.tolist(), self.ranked,
+                   [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])],
+                   repeat(self.truncated))
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+
+# caller-built lists per RankedLists in _hit_ranks: few enough that one
+# chunk's int64 keys stay a few MB at any user count, many enough to amortize
 _HIT_CHUNK = 128
 
 
@@ -80,35 +112,36 @@ def _hit_ranks(lists):
     relevant count, the hit count, the sorted 1-based hit ranks,
     concatenated user by user, and the shortest truncated list's depth or None.
 
-    The hits of ``_HIT_CHUNK`` lists come from one ``np.isin`` over keys
-    ``owner * width + item``, so a ranked item matches only its own list's
-    relevant items; ``np.flatnonzero`` returns them in list order, ranks
-    ascending, exactly as one ``np.isin`` per list would.
+    A RankedLists' hits are one ``np.searchsorted`` of its keys into its
+    relevant keys; -1 padding never hits. Other lists go ``_HIT_CHUNK`` at a
+    time into a RankedLists keyed on their place in the chunk.
     """
+    if isinstance(lists, RankedLists) and len(lists):
+        users, n, relevant = lists.users, lists.n_items, lists.relevant
+        keys = users[:, None] * n + lists.ranked
+        found = relevant.take(np.searchsorted(relevant, keys), mode="clip") == keys
+        row, col = np.nonzero(found & (lists.ranked >= 0))
+        return (users, np.diff(np.searchsorted(relevant, np.append(users, users[-1] + 1) * n)),
+                np.bincount(row, minlength=len(users)), col + 1,
+                lists.ranked.shape[1] if lists.truncated else None)
     kept = [rl for rl in lists if len(rl.relevant) > 0]
     if len(kept) < len(lists):
         log.warning("%d users have no relevant items and are excluded",
                     len(lists) - len(kept))
     if not kept:
         raise ValueError("no users with a nonempty relevant set")
-    n_relevant = np.array([len(rl.relevant) for rl in kept])
-    n_hits, ranks = [], []
+    parts = []
     for lo in range(0, len(kept), _HIT_CHUNK):
         chunk = kept[lo : lo + _HIT_CHUNK]
-        lengths = np.array([len(rl.ranked) for rl in chunk])
-        keys = np.concatenate([rl.ranked for rl in chunk]).astype(np.int64, copy=False)
+        ranked = np.full((len(chunk), max(len(rl.ranked) for rl in chunk)), -1, dtype=np.int64)
+        for row, rl in zip(ranked, chunk):
+            row[: len(rl.ranked)] = rl.ranked
         relevant = np.concatenate([rl.relevant for rl in chunk]).astype(np.int64, copy=False)
-        width = int(max(keys.max(initial=0), relevant.max())) + 1
-        offsets = np.arange(len(chunk), dtype=np.int64) * width
-        keys += np.repeat(offsets, lengths)
-        relevant += np.repeat(offsets, n_relevant[lo : lo + len(chunk)])
-        hit = np.flatnonzero(np.isin(keys, relevant))
-        owner = keys[hit] // width
-        ranks.append(hit - (np.cumsum(lengths) - lengths)[owner] + 1)
-        n_hits.append(np.bincount(owner, minlength=len(chunk)))
-    return (np.array([rl.user for rl in kept]), n_relevant, np.concatenate(n_hits),
-            np.concatenate(ranks), min((len(rl.ranked) for rl in kept if rl.truncated),
-                                       default=None))
+        width, rows = int(max(ranked.max(initial=0), relevant.max())) + 1, np.arange(len(chunk))
+        keys = np.repeat(rows, [len(rl.relevant) for rl in chunk]) * width + relevant
+        parts.append(_hit_ranks(RankedLists(rows, ranked, np.sort(keys), width, False))[1:4])
+    return (np.array([rl.user for rl in kept]), *map(np.concatenate, zip(*parts)),
+            min((len(rl.ranked) for rl in kept if rl.truncated), default=None))
 
 
 def _metric(table, name, k):
@@ -204,9 +237,9 @@ class EvalReport:
 
 
 def _pools(split, scenario, use):
-    """(users, pool rows, relevant sets) of one scenario: a cold split's val
-    or test pairs against the cold, warm or full item pool (one row for all
-    users), or a warm split's held-out click, then its negatives, per user."""
+    """(users, pool rows, sorted relevant keys user * n_items + item): a cold
+    split's val or test pairs against the cold, warm or full item pool (one
+    row for all users), or a warm split's held-out click, then its negatives."""
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if scenario == "leave_one_out":
@@ -214,8 +247,9 @@ def _pools(split, scenario, use):
             raise ValueError("leave_one_out needs a warm split")
         if use != "test":
             raise ValueError("warm splits have a single held-out set")
-        return (np.arange(len(split.heldout)),
-                np.column_stack((split.heldout, split.negatives)), split.heldout[:, None])
+        users = np.arange(len(split.heldout))
+        return (users, np.column_stack((split.heldout, split.negatives)),
+                users * split.train.n_items + split.heldout)
 
     if not hasattr(split, "cold_val"):
         raise ValueError(f"scenario {scenario!r} needs a cold split")
@@ -230,28 +264,28 @@ def _pools(split, scenario, use):
         raise ValueError(f"scenario {scenario!r} has an empty candidate pool or no held-out interactions")
     # distinct pairs sorted by (user, item): each user's run is its relevant set
     n = len(cold)
-    pairs = np.unique(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
-    users, starts = np.unique(pairs // n, return_index=True)
-    return users, pool[None, :], np.split(pairs % n, starts[1:])
+    relevant = np.unique(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
+    return np.unique(relevant // n), pool[None, :], relevant
 
 
 # pool cells per ranking block: a block's scratch stays near a MB at any user count
 _RANK_CELLS = 2**16
 
 
-def build_ranked_lists(scores, split, scenario, use="test", depth=None, items=None):
-    """The first ``depth`` places (None: all) of each user's pool of one
-    scenario, in ``rank_candidates`` order: training positives masked to
-    -inf, so they and any -inf score rank after every finite score, NaN after
-    them, ties toward the lower item index. Per block of ``_RANK_CELLS`` pool
-    cells, one ``np.lexsort`` orders each row's cells up to and tied with its
-    depth-th key (the whole row when that key is NaN).
+def build_ranked_lists(scores, split, scenario, use="test", depth=None, items=None, pooled=None):
+    """A RankedLists of the first ``depth`` places (None: all) of each user's
+    pool of one scenario, in ``rank_candidates`` order: training positives
+    (on a shared pool, the block's CSR rows through an item -> place map)
+    masked to -inf, so they and any -inf score rank after every finite
+    score, NaN after them, ties toward the lower item index. Per block of
+    ``_RANK_CELLS`` pool cells, one ``np.lexsort`` orders each row's cells up
+    to and tied with its depth-th key (the whole row when that key is NaN).
 
     ``scores`` is users x items; given ``items`` (ascending, holding every
     pool item), it is instead one row per ranked user, in ``_pools`` order,
-    and one column per entry of ``items``.
+    and one column per entry of ``items``. ``pooled``: ``_pools``' result.
     """
-    users, pools, relevant = _pools(split, scenario, use)
+    users, pools, relevant = _pools(split, scenario, use) if pooled is None else pooled
     rows, cols = ((users, pools) if items is None else
                   (np.arange(len(users)), np.searchsorted(items, pools)))
     width = pools.shape[1]
@@ -259,23 +293,28 @@ def build_ranked_lists(scores, split, scenario, use="test", depth=None, items=No
         raise ValueError(f"depth must be >= 1, got {depth}")
     depth = width if depth is None else min(depth, width)
     step = max(1, _RANK_CELLS // width)
-    lists = []
+    X = split.train.X
+    if len(pools) == 1:
+        place = np.full(X.shape[1], -1)
+        place[pools[0]] = np.arange(width)
+    ranked = np.empty((len(users), depth), dtype=pools.dtype)
     for lo in range(0, len(users), step):
         u = users[lo : lo + step]
         pool = pools[lo : lo + step] if len(pools) > 1 else pools
         col = cols[lo : lo + step] if len(cols) > 1 else cols
         key = scores[rows[lo : lo + step, None], col].astype(np.float64, copy=False)
-        positives = split.train.X[u[:, None], pool].tocoo()
-        key[positives.row, positives.col] = -np.inf
+        # positives: the block's CSR rows mapped to pool places, or per-user pools' cells
+        x = X[u] if len(pools) == 1 else X[u[:, None], pool]
+        col = place[x.indices] if len(pools) == 1 else x.indices
+        row = np.repeat(np.arange(len(u)), np.diff(x.indptr))
+        key[row[col >= 0], col[col >= 0]] = -np.inf
         np.negative(key, out=key)
         cut = np.partition(key, depth - 1, axis=1)[:, depth - 1 : depth]
         row, col = np.nonzero((key <= cut) | np.isnan(cut))
         items = np.broadcast_to(pool, key.shape)[row, col]
         first = np.searchsorted(row, np.arange(len(u)))[:, None] + np.arange(depth)
-        ranked = items[np.lexsort((items, key[row, col], row))][first]
-        lists.extend(RankedList(user=user, ranked=r, relevant=rel, truncated=depth < width)
-                     for user, r, rel in zip(u.tolist(), ranked, relevant[lo : lo + step]))
-    return lists
+        ranked[lo : lo + step] = items[np.lexsort((items, key[row, col], row))][first]
+    return RankedLists(users, ranked, relevant, X.shape[1], depth < width)
 
 
 def validation_scenario(split):
@@ -302,24 +341,24 @@ def validation_metrics(X, T, split):
     for bit, and equal columns of T give exact ties.
     """
     scenario, use = validation_scenario(split)
-    users, pools, _ = _pools(split, scenario, use)
-    items = np.unique(pools)
+    pooled = _pools(split, scenario, use)
+    users, items = pooled[0], np.unique(pooled[1])
     T = T if len(items) == T.shape[1] else T[:, items]
     rep = evaluate_scenario(np.asarray(X[users] @ T), split, scenario, ks=(_SELECTION_K,),
-                            use=use, with_ci=False, items=items)
+                            use=use, with_ci=False, items=items, pooled=pooled)
     return {f"{m.name}@{m.k}": m.mean for m in rep.metrics}
 
 
 def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=METRICS,
                       use="test", with_ci=True, resamples=500, fraction=0.20,
-                      seed=None, items=None):
+                      seed=None, items=None, pooled=None):
     """Score one scenario and return an EvalReport with optional CIs.
 
     The pool is ranked once, to depth max(ks), and its hit ranks are
     computed once; every metric and k reduces over that table. The bootstrap
     seed defaults to the split's own seed so a rerun of the same experiment
-    reproduces the intervals byte for byte. ``items`` marks pool-only
-    scores, as in ``build_ranked_lists``.
+    reproduces the intervals byte for byte. ``items`` and ``pooled`` are
+    as in ``build_ranked_lists``.
     """
     if not ks or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                          and k >= 1 for k in ks):
@@ -328,7 +367,7 @@ def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=METRICS,
         if name not in METRICS:
             raise ValueError(f"unknown metric {name!r}, have {list(METRICS)}")
     table = _hit_ranks(build_ranked_lists(scores, split, scenario, use=use, depth=max(ks),
-                                          items=items))
+                                          items=items, pooled=pooled))
     if seed is None:
         seed = split.seed
     results = []

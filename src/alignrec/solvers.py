@@ -409,6 +409,7 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
     _check_finite(theta)
     routes = dict(zip(_ROUTES, np.bincount(route, minlength=3).tolist()))
     return _fitted(theta, "mslim", cfg, aligned, ctx.X, t0, columns_by_route=routes,
+                   diag_residual_max=float(np.abs(np.diag(theta)).max()),
                    **_route_facts(ctx, wb if block else None, spd))
 
 

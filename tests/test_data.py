@@ -463,3 +463,31 @@ def test_split_files_equal_the_csv_writer_bytes_for_awkward_ids(tmp_path):
     assert back.train.user_ids == t.user_ids and back.train.item_ids == t.item_ids
     assert np.array_equal(back.heldout, split.heldout)
     assert np.array_equal(back.negatives, split.negatives)
+
+
+@pytest.mark.parametrize("protocol", ["cold", "warm"])
+def test_split_with_carriage_returns_in_ids_reads_back(tmp_path, protocol):
+    # a csv writer with a "\n" terminator leaves a bare "\r" unquoted, and the
+    # reader would end the row there
+    user_ids = ("cr\rlf", "\r\n") + tuple(f"u{i}" for i in range(6))
+    item_ids = ("cr\rlf", "\r\n") + tuple(f"i{j}" for j in range(8))
+    rng = np.random.default_rng(3)
+    clicked = rng.random((len(user_ids), len(item_ids))) < 0.5
+    clicked[:, :3] = True
+    pairs = np.argwhere(clicked).astype(np.int64)
+    d = Dataset.from_pairs(pairs, user_ids, item_ids, rng.integers(0, 100, size=len(pairs)))
+    out = str(tmp_path / "s")
+    if protocol == "cold":
+        split = make_cold_split(d, seed=0)
+        save_cold_split(split, out)
+        held = ("warm_val", "warm_test", "cold_val", "cold_test")
+    else:
+        split = make_warm_split(d, min_user_clicks=2, negatives=2, seed=0)
+        save_warm_split(split, out)
+        held = ("heldout", "negatives")
+    back = load_split(out)
+    assert back.train.user_ids == user_ids and back.train.item_ids == item_ids
+    assert np.array_equal(back.train.interactions, split.train.interactions)
+    assert np.array_equal(back.train.timestamps, split.train.timestamps)
+    for name in held:
+        assert np.array_equal(getattr(back, name), getattr(split, name)), name

@@ -1,5 +1,6 @@
 """Ranking metrics, scenario pools, and the bootstrap interval."""
 
+import dataclasses
 import logging
 import math
 import tracemalloc
@@ -194,6 +195,19 @@ def test_chunked_hit_rank_table_equals_one_isin_per_list(lists):
         np.testing.assert_array_equal(got, want)
 
 
+def test_padding_never_hits_even_where_its_key_is_a_relevant_key():
+    # row 1's padding key 1 * width - 1 is row 0's key of its relevant item
+    # width - 1 = 2**40, both for caller lists and for an array block
+    lists = [RankedList(user=0, ranked=np.array([5, 6]), relevant=np.array([2**40])),
+             RankedList(user=1, ranked=np.array([7]), relevant=np.array([7]))]
+    table = evaluation._hit_ranks(lists)
+    assert table[2].tolist() == [0, 1] and table[3].tolist() == [1]
+    block = evaluation.RankedLists(users=np.array([0, 1]), ranked=np.array([[0, 1], [1, -1]]),
+                                   relevant=np.array([2, 4]), n_items=3, truncated=False)
+    table = evaluation._hit_ranks(block)
+    assert table[2].tolist() == [0, 1] and table[3].tolist() == [1]
+
+
 def test_hit_rank_table_scratch_memory_is_bounded():
     rng = np.random.default_rng(0)
     lists = [RankedList(user=u, ranked=rng.permutation(1000),
@@ -290,6 +304,30 @@ def test_block_prefix_equals_the_full_sort(case, depth, cells):
     for k in (1, depth):
         assert rep.metric("hr", k).per_user.tolist() == hr_at_k(ref, k).per_user.tolist()
         assert rep.metric("ndcg", k).per_user.tolist() == ndcg_at_k(ref, k).per_user.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=scored_scenarios(), depth=st.sampled_from([1, 3, 40]))
+def test_array_hit_table_equals_one_isin_per_view(case, depth):
+    scores, split, scenario = case
+    lists = build_ranked_lists(scores, split, scenario, depth=depth)
+    views = list(lists)
+    assert len(views) == len(lists)
+    for i, v in enumerate(views):
+        w = lists[i - len(lists) if i % 2 else i]
+        assert (v.user, v.truncated) == (w.user, w.truncated)
+        assert np.array_equal(v.ranked, w.ranked) and np.array_equal(v.relevant, w.relevant)
+    table = evaluation._hit_ranks(lists)
+    for got, want in zip(table, _reference_table(views)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert table[4] == (lists.ranked.shape[1] if views[0].truncated else None)
+    # padding past every row never hits, though user u's padding key u * n - 1
+    # is user u - 1's key of item n - 1
+    padded = dataclasses.replace(
+        lists, ranked=np.pad(lists.ranked, ((0, 0), (0, 2)), constant_values=-1))
+    for got, want in zip(evaluation._hit_ranks(padded)[:4], table):
+        assert got.tolist() == want.tolist()
 
 
 def _block_ranking_scratch(n_users=4096, n_items=1000):

@@ -442,6 +442,16 @@ def test_cold_mslim_run_records_its_column_routes(planted_config):
     assert min(routes.values()) > 0
 
 
+def test_mslim_run_records_its_diagonal_residual(planted_config):
+    # MSLIM penalizes theta's diagonal instead of zeroing it: the sidecar
+    # records the largest |theta_ii| that the stored model keeps
+    outdir = run_experiment(planted_config(solver="mslim", n_items=30, clicks=(3, 8)))
+    with open(os.path.join(outdir, "model.bin.json"), encoding="utf-8") as fh:
+        residual = json.load(fh)["diagnostics"]["diag_residual_max"]
+    theta = load_model(os.path.join(outdir, "model.bin")).theta
+    assert residual == float(np.abs(np.diag(theta)).max()) > 0
+
+
 def test_cold_itemknn_run_stores_the_mixed_similarity(planted_config):
     path = planted_config(solver="itemknn", grid={})
     assert main(["run", "--config", path]) == 0
