@@ -240,13 +240,15 @@ class AlignmentMatrix:
     def xtb(self, xtx, rows=None, cols=None):
         """X^T B as a dense items x items matrix, from the Gram xtx = X^T X.
 
-        Given item index arrays ``rows`` and ``cols``, xtx is the Gram's
-        (rows, rows) block and only X^T B's (rows, cols) block is formed.
-        That is exact when no click of X falls outside ``rows``.
+        Given an item index array ``rows``, xtx is the Gram's (rows, rows)
+        block, which is exact when no click of X falls outside ``rows``.
+        Given ``cols``, only those columns of X^T B are formed.
         """
         g, d = self.G, self.d
         if rows is not None:
-            g, d = g[np.ix_(rows, cols)], d[cols]
+            g = g[rows]
+        if cols is not None:
+            g, d = g[:, cols], d[cols]
         check_dense_budget(xtx.shape[0], g.shape[1], what="X^T B")
         out = xtx @ g
         out *= self.alpha

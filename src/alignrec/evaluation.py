@@ -268,6 +268,20 @@ def _pools(split, scenario, use):
     return np.unique(relevant // n), pool[None, :], relevant
 
 
+def _pool_items(pools, n):
+    """The distinct items of ``pools`` in ascending order (np.unique's), by
+    one count over the n items."""
+    return np.flatnonzero(np.bincount(pools.ravel(), minlength=n))
+
+
+def _pool_columns(items, pools, n):
+    """Each pool cell's position in ``items`` (ascending, holding every pool
+    item; np.searchsorted's), through an item -> position map over n items."""
+    column = np.zeros(n, dtype=np.intp)
+    column[items] = np.arange(len(items))
+    return column[pools]
+
+
 # pool cells per ranking block: a block's scratch stays near a MB at any user count
 _RANK_CELLS = 2**16
 
@@ -286,14 +300,14 @@ def build_ranked_lists(scores, split, scenario, use="test", depth=None, items=No
     and one column per entry of ``items``. ``pooled``: ``_pools``' result.
     """
     users, pools, relevant = _pools(split, scenario, use) if pooled is None else pooled
+    X = split.train.X
     rows, cols = ((users, pools) if items is None else
-                  (np.arange(len(users)), np.searchsorted(items, pools)))
+                  (np.arange(len(users)), _pool_columns(items, pools, X.shape[1])))
     width = pools.shape[1]
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     depth = width if depth is None else min(depth, width)
     step = max(1, _RANK_CELLS // width)
-    X = split.train.X
     if len(pools) == 1:
         place = np.full(X.shape[1], -1)
         place[pools[0]] = np.arange(width)
@@ -342,7 +356,7 @@ def validation_metrics(X, T, split):
     """
     scenario, use = validation_scenario(split)
     pooled = _pools(split, scenario, use)
-    users, items = pooled[0], np.unique(pooled[1])
+    users, items = pooled[0], _pool_items(pooled[1], X.shape[1])
     T = T if len(items) == T.shape[1] else T[:, items]
     rep = evaluate_scenario(np.asarray(X[users] @ T), split, scenario, ks=(_SELECTION_K,),
                             use=use, with_ci=False, items=items, pooled=pooled)

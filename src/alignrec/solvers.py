@@ -14,13 +14,17 @@ Two backbones share the aligned-system structure:
   check, and every column does when K itself is singular.
 
 Both start from S = X^T (X + B), with X^T B taken from the Gram; an
-alignment matrix B acts when it is given with alpha != 0. Items with an
-empty training column are eliminated exactly on the block route (see
-FitContext). X^T B is non-symmetric, so a solve uses a general pivoted LU
-factorization, except the warm block's inverse when no warm item carries a
-decay weight: then the block is X_W^T X_W (times w1 >= 0 under MSLIM) plus
-lambda1 I with lambda1 > 0, symmetric positive definite, and a Cholesky
-inverts it. A fit whose weights are not all finite raises SolverError.
+alignment matrix B acts when it is given with alpha != 0. A FitContext of
+the training matrix holds one Gram per route and, per B, X^T B on its
+decay columns D only: X^T B = alpha X^T X G diag(d) is zero where the decay
+weight d is. Items with an empty training column are eliminated exactly
+on the block route (see FitContext). X^T B is non-symmetric, but off D the
+shared matrix is X^T X (times w1 >= 0 under MSLIM) plus lambda1 I, which
+with lambda1 > 0 is symmetric positive definite: its inverse takes a
+Cholesky on that core and an LU only on the |D| x |D| Schur complement
+(linalg.invert). EASE with lambda0 FF^T, which couples every item, and
+MSLIM with lambda1 = 0 invert by LU alone. A fit whose weights are not all
+finite raises SolverError.
 """
 
 from __future__ import annotations
@@ -107,25 +111,24 @@ def _check_finite(theta):
         )
 
 
-def _aligned_system(X, B):
-    """(CSR X, S = X^T (X + B), whether B acts); B acts if given with alpha != 0."""
-    X = sp.csr_matrix(X)
-    g = gram(X)
-    if B is None or B.alpha == 0.0:
-        return X, g, False
-    s = B.xtb(g)
-    s += g
-    return X, s, True
-
-
 @dataclass(frozen=True)
-class _WarmBlock:
-    """The warm/cold blocks of S = X^T (X + B) that a block-route fit reads."""
+class _System:
+    """S = X^T (X + B) over a fit's items (the warm ones on the block route,
+    all on the general route) as the Gram plus X^T B, which is zero off the
+    decay columns, the items whose decay weight d is nonzero."""
 
-    ww: np.ndarray         # S_WW; shared by every fit, so never changed in place
-    wc: np.ndarray | None  # S_WC on the distinct cold columns; None when B does not act
+    gram: np.ndarray       # X^T X over the items; shared by every fit, so never changed in place
+    decay: np.ndarray      # boolean mask over the items: the decay columns D
+    xtb: np.ndarray | None  # X^T B on D; None when B does not act
+    wc: np.ndarray | None  # block route: S_WC on the distinct cold columns; None when B does not act
     cold_index: np.ndarray | None  # each cold item's column of wc
-    warm_decay: bool       # some warm item has a decay weight, so S_WW != X_W^T X_W
+
+    def s(self):
+        """A fresh copy of S over the items."""
+        s = self.gram.copy()
+        if self.decay.any():
+            s[:, self.decay] += self.xtb
+        return s
 
 
 class FitContext:
@@ -135,16 +138,18 @@ class FitContext:
     protocol) have zero rows in X^T X and X^T B, so with W the other items
     the aligned systems are block upper-triangular with a lambda1 I corner.
     fit_ease (unless lambda0 > 0 with F) and fit_mslim (lambda1 > 0) then
-    eliminate C exactly: the C rows of theta are zero, theta_WW is the
-    solver on the warm block, and a cold column is the warm block's inverse
-    times its column of S_WC (scaled by w1 under MSLIM). Cold items whose
-    warm rows of G and decay weights are equal byte for byte share one
-    solved column, copied to each, so their scores tie exactly. A matrix
-    with no empty column, or only empty ones, has no block route.
+    take the block route and eliminate C exactly: the C rows of theta are
+    zero, theta_WW is the solver on the warm block, and a cold column is the
+    warm block's inverse times its column of S_WC (scaled by w1 under
+    MSLIM). Cold items whose warm rows of G and decay weights are equal byte
+    for byte share one solved column, copied to each, so their scores tie
+    exactly. A matrix with no empty column, or only empty ones, and the fits
+    excepted above, take the general route over all items.
 
-    The context holds the W/C partition and, built on first use per
-    alignment matrix B (its G object, alpha and d), S_WW and the distinct
-    columns of S_WC, from one gram and one B.xtb call. It is safe to share
+    The context holds the W/C partition and, built on first use, one Gram
+    per route and, per route and alignment matrix B (its G object, alpha and
+    d), a _System: X^T B on the decay columns and, on the block route, the
+    distinct columns of S_WC, from one B.xtb call. It is safe to share
     between threads; drop it when its fits are done.
     """
 
@@ -154,43 +159,54 @@ class FitContext:
         clicked = np.bincount(self.X.indices, minlength=n) > 0
         self.warm, self.cold = np.flatnonzero(clicked), np.flatnonzero(~clicked)
         self.block = 0 < len(self.cold) < n
-        self.X_warm = self._gram = None
-        self._blocks = {}
+        self.X_warm = None
+        self._grams, self._systems = {}, {}
         self._lock = threading.Lock()
 
-    def warm_block(self, B):
-        """The _WarmBlock of alignment B (None or alpha = 0: no alignment)."""
+    def system(self, B, block):
+        """The _System of alignment B (None or alpha = 0: no alignment) on
+        the block route if ``block``, else on the general route."""
         aligned = B is not None and B.alpha != 0.0
-        key = (id(B.G), B.alpha, B.d.tobytes()) if aligned else None
+        key = (block, id(B.G), B.alpha, B.d.tobytes()) if aligned else (block,)
         with self._lock:
-            if self._gram is None:
-                self.X_warm = self.X[:, self.warm]
-                self._gram = gram(self.X_warm)
-            if key not in self._blocks:
+            if block not in self._grams:
+                if block:
+                    self.X_warm = self.X[:, self.warm]
+                self._grams[block] = gram(self.X_warm if block else self.X)
+            if key not in self._systems:
                 # the entry keeps B.G alive, so no other G can take its id
-                self._blocks[key] = ((B.G, self._aligned_block(B)) if aligned else
-                                     (None, _WarmBlock(self._gram, None, None, False)))
-            return self._blocks[key][1]
+                self._systems[key] = (B.G if aligned else None,
+                                      self._system(B if aligned else None, block))
+            return self._systems[key][1]
 
-    def _aligned_block(self, B):
-        W, C, a = self.warm, self.cold, self._gram
+    def _system(self, B, block):
+        a = self._grams[block]
+        if B is None:
+            return _System(a, np.zeros(len(a), dtype=bool), None, None, None)
+        if not block:
+            decay = B.d != 0.0
+            return _System(a, decay, B.xtb(a, cols=np.flatnonzero(decay)), None, None)
+        W, C = self.warm, self.cold
         keys = np.ascontiguousarray(np.vstack([B.G[np.ix_(W, C)], B.d[None, C]]).T)
         _, first, index = np.unique(keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel(),
                                     return_index=True, return_inverse=True)
-        warm_decay = bool(B.d[W].any())
-        if not warm_decay:  # X^T B vanishes on W x W: S_WW is the Gram block itself
-            return _WarmBlock(a, B.xtb(a, rows=W, cols=C[first]), index.ravel(), False)
-        xtb = B.xtb(a, rows=W, cols=np.concatenate([W, C[first]]))
-        ww = xtb[:, :len(W)] + a
-        return _WarmBlock(ww, np.ascontiguousarray(xtb[:, len(W):]), index.ravel(), True)
+        decay = B.d[W] != 0.0
+        xtb = B.xtb(a, rows=W, cols=np.concatenate([W[decay], C[first]]))
+        k = int(decay.sum())
+        return _System(a, decay, xtb[:, :k], np.ascontiguousarray(xtb[:, k:]), index.ravel())
 
 
 def _context(X, context):
-    """``context``, checked against X, or a new FitContext of X."""
+    """``context``, checked to be of X, or a new FitContext of X."""
     if context is None:
         return FitContext(X)
-    if context.X.shape != X.shape:
-        raise ValueError(f"the fit context is of a {context.X.shape} matrix, X is {X.shape}")
+    if context.X is not X:
+        X = sp.csr_matrix(X)
+        if context.X.shape != X.shape:
+            raise ValueError(f"the fit context is of a {context.X.shape} matrix, X is {X.shape}")
+        if not all(np.array_equal(getattr(context.X, f), getattr(X, f))
+                   for f in ("indptr", "indices", "data")):
+            raise ValueError("the fit context is of another matrix than X")
     return context
 
 
@@ -203,23 +219,31 @@ def _fitted(theta, solver, cfg, aligned, X, t0, **diagnostics):
                      diagnostics=diagnostics)
 
 
-def _route_facts(ctx, wb, spd):
-    """How a fit solved, for its sidecar: the route, the factorization of its
-    shared matrix and the cold columns solved (on the block route each
-    distinct one once, none without alignment)."""
-    solved = len(ctx.cold) if wb is None else 0 if wb.wc is None else wb.wc.shape[1]
-    return {"route": "general" if wb is None else "block",
-            "factorization": "cholesky" if spd else "lu", "cold_columns_solved": solved}
+def _route_facts(ctx, system, core, rcond):
+    """How a fit solved, for its sidecar: the route (``system`` is None on the
+    general one), the factorization of its shared inverse by its Cholesky
+    core ``core`` (a mask, or a bool for all or none), that inverse's
+    smallest rcond (None if it failed) to 3 significant digits, since the
+    estimators' last bits follow the memory alignment of the factor, and
+    the cold columns solved (on the block route each distinct one once,
+    none without alignment)."""
+    solved = (len(ctx.cold) if system is None else
+              0 if system.wc is None else system.wc.shape[1])
+    factorization = "cholesky" if np.all(core) else "cholesky+lu" if np.any(core) else "lu"
+    return {"route": "general" if system is None else "block",
+            "factorization": factorization,
+            "rcond_min": None if rcond is None else float(f"{rcond:.3g}"),
+            "cold_columns_solved": solved}
 
 
-def _block_theta(ctx, theta_ww, theta_wc, wb):
+def _block_theta(ctx, theta_ww, theta_wc, system):
     """The n x n theta with theta_WW and the cold columns (theta_wc holds one
-    per distinct cold column of ``wb``) in place, zero elsewhere."""
+    per distinct cold column of ``system``) in place, zero elsewhere."""
     n = ctx.X.shape[1]
     theta = np.zeros((n, n))
     theta[np.ix_(ctx.warm, ctx.warm)] = theta_ww
     if theta_wc is not None:
-        theta[np.ix_(ctx.warm, ctx.cold)] = theta_wc[:, wb.cold_index]
+        theta[np.ix_(ctx.warm, ctx.cold)] = theta_wc[:, system.cold_index]
     return theta
 
 
@@ -248,35 +272,36 @@ def fit_ease(X, cfg, F=None, B=None, context=None):
     lambda0 = 0 this is the textbook EASE estimator. ``context`` is a
     FitContext of X to share between fits; without lambda0 FF^T its block
     route inverts only the warm block M_WW, and theta_WC = M_WW^-1 S_WC.
+    Without lambda0 FF^T, M's core on the items without decay weight is
+    X^T X + lambda1 I, symmetric positive definite, and is inverted by
+    Cholesky; the decay columns go through its Schur complement by LU.
     """
     t0 = time.perf_counter()
     ctx = _context(X, context)
     aligned = B is not None and B.alpha != 0.0
-    block = ctx.block and not (cfg.lambda0 > 0 and F is not None)
-    if block:
-        wb = ctx.warm_block(B)
-        m, items, spd = wb.ww.copy(), ctx.warm, not wb.warm_decay
-    else:
-        _, m, aligned = _aligned_system(X, B)
-        items, spd = np.arange(m.shape[0]), False
+    feature = cfg.lambda0 > 0 and F is not None  # F F^T couples every item: general LU
+    block = ctx.block and not feature
+    system = ctx.system(B, block)
+    m = system.s()
     m.flat[::len(m) + 1] += cfg.lambda1
-    if cfg.lambda0 > 0 and F is not None:  # only on the general route
+    if feature:
         m += cfg.lambda0 * _feature_item_gram(F)
+    core = False if feature else ~system.decay
     try:
-        p = invert(m, spd=spd)
+        p, rcond = invert(m, spd=core, return_rcond=True)
     except SingularMatrixError as e:
         raise SolverError(
             f"aligned system is singular ({e}); increase lambda1"
         ) from e
     del m
-    theta = _ease_weights(p, cfg.lambda1, items)
+    theta = _ease_weights(p, cfg.lambda1, ctx.warm if block else np.arange(len(p)))
     if block:
-        theta = _block_theta(ctx, theta, None if wb.wc is None else p @ wb.wc, wb)
+        theta = _block_theta(ctx, theta, None if system.wc is None else p @ system.wc, system)
     _check_finite(theta)
     diag_residual = float(np.abs(np.diag(theta)).max())
     np.fill_diagonal(theta, 0.0)
     return _fitted(theta, "ease", cfg, aligned, ctx.X, t0, diag_residual_max=diag_residual,
-                   **_route_facts(ctx, wb if block else None, spd))
+                   **_route_facts(ctx, system if block else None, core, rcond))
 
 
 _ROUTES = ("rank_one", "woodbury", "direct")  # diagnostics count the columns of each
@@ -354,23 +379,22 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
     ctx = _context(X, context)
     aligned = B is not None and B.alpha != 0.0
     block = ctx.block and cfg.lambda1 > 0
-    if block:
-        wb = ctx.warm_block(B)
-        Xcsr, k, items, spd = ctx.X_warm, cfg.w1 * wb.ww, ctx.warm, not wb.warm_decay
-        h = B.item_map()[np.ix_(items, items)] if wb.warm_decay else None
-    else:
-        Xcsr, k, aligned = _aligned_system(X, B)
-        k *= cfg.w1
-        items, spd = np.arange(k.shape[0]), False
-        h = B.item_map() if aligned else None
+    system = ctx.system(B, block)
+    Xcsr, items = (ctx.X_warm, ctx.warm) if block else (ctx.X, np.arange(ctx.X.shape[1]))
+    k = system.s()
+    k *= cfg.w1
+    h = None
+    if system.decay.any():
+        h = B.item_map()[np.ix_(items, items)] if block else B.item_map()
     Xcsc = Xcsr.tocsc()
     n = len(k)
     k.flat[::n + 1] += cfg.lambda1
     m = np.eye(n) + (0.0 if h is None else h)  # V_i = X_i M
+    core = ~system.decay if cfg.lambda1 > 0 else False  # w1 X^T X + lambda1 I is SPD
     try:
-        p = invert(k, spd=spd)
+        p, rcond = invert(k, spd=core, return_rcond=True)
     except SingularMatrixError:
-        p = q = None  # every column solves directly; a singular one fails
+        p = q = rcond = None  # every column solves directly; a singular one fails
     else:
         q = p if h is None else m @ p
 
@@ -389,13 +413,13 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
     failures = [(int(items[i]), e) for i, e in failures]
     if block:
         cold = None
-        if wb.wc is not None:
-            k_wc = cfg.w1 * wb.wc
+        if system.wc is not None:
+            k_wc = cfg.w1 * system.wc
             try:
                 cold = p @ k_wc if p is not None else solve_general(k, k_wc)
             except SingularMatrixError as e:
                 failures += [(int(c), str(e)) for c in ctx.cold]
-        theta = _block_theta(ctx, theta, cold, wb)
+        theta = _block_theta(ctx, theta, cold, system)
         route = np.concatenate([route, np.zeros(len(ctx.cold), dtype=np.int8)])
     if failures:
         failures.sort(key=lambda t: t[0])
@@ -410,7 +434,7 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
     routes = dict(zip(_ROUTES, np.bincount(route, minlength=3).tolist()))
     return _fitted(theta, "mslim", cfg, aligned, ctx.X, t0, columns_by_route=routes,
                    diag_residual_max=float(np.abs(np.diag(theta)).max()),
-                   **_route_facts(ctx, wb if block else None, spd))
+                   **_route_facts(ctx, system if block else None, core, rcond))
 
 
 def itemknn_scores(X_user_rows, G):

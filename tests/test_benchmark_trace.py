@@ -77,9 +77,9 @@ def test_traced_sample_reports_every_per_layer_metric(tmp_path, name):
     # validation scores only the pool, so predict runs once, in evaluate
     train = load_split(str(tmp_path / "out" / "splits")).train
     assert metrics["solvers.predict.bytes"] == train.n_users * train.n_items * 8
-    if name.startswith("cold"):
-        # one fit context per training matrix: one Gram and one cross term
-        assert metrics["linalg.gram.per_matrix"] == metrics["alignment.apply.per_matrix"] == 1.0
+    # one fit context per training matrix, on the block and the general route
+    # alike: one Gram and one cross term
+    assert metrics["linalg.gram.per_matrix"] == metrics["alignment.apply.per_matrix"] == 1.0
     if name == "cold-mslim":
         # per grid point, one inverse of the shared warm block K_WW plus one
         # solve per clicked item (its Woodbury capacitance, or its direct

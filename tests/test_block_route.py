@@ -193,3 +193,21 @@ def test_threads_sharing_a_context_build_its_block_once(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 1 and len(thetas) == 8
     assert all(np.array_equal(t, thetas[0]) for t in thetas)
+
+
+def test_a_context_of_another_matrix_of_the_same_shape_is_refused():
+    X, B, _ = _case(5, 9, "some", "cold-d", False)
+    ctx = FitContext(X)
+    moved = X.tolil()
+    moved[0, 0] = 1.0 - moved[0, 0]  # one click added or removed
+    weighted = X.copy()
+    weighted.data *= 2.0  # the same clicks, other values
+    for other in (moved.tocsr(), weighted):
+        for fit in (lambda Y: fit_ease(Y, EaseConfig(), B=B, context=ctx),
+                    lambda Y: fit_mslim(Y, MslimConfig(lambda1=1.0), B=B, context=ctx)):
+            with pytest.raises(ValueError, match="another matrix"):
+                fit(other)
+    # an equal copy, or the same clicks given densely, shares the context
+    own = fit_ease(X, EaseConfig(), B=B).theta
+    assert np.array_equal(fit_ease(X.copy(), EaseConfig(), B=B, context=ctx).theta, own)
+    assert np.array_equal(fit_ease(X.toarray(), EaseConfig(), B=B, context=ctx).theta, own)

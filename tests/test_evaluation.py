@@ -631,3 +631,16 @@ def test_pool_only_validation_scores_rank_like_full_width_predict(case):
     rep = evaluate_scenario(full, split, scenario, ks=(10,), use=use, with_ci=False)
     assert evaluation.validation_metrics(X, T, split) == {
         f"{m.name}@{m.k}": m.mean for m in rep.metrics}
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_items=st.integers(1, 40), data=st.data())
+def test_pool_items_and_columns_equal_unique_and_searchsorted(n_items, data):
+    # a shared pool row, or per-user pools that may repeat items across users
+    rows = data.draw(st.integers(1, 6))
+    width = data.draw(st.integers(1, n_items))
+    pools = np.array([data.draw(st.permutations(range(n_items)))[:width] for _ in range(rows)])
+    items = evaluation._pool_items(pools, n_items)
+    assert np.array_equal(items, np.unique(pools))
+    assert np.array_equal(evaluation._pool_columns(items, pools, n_items),
+                          np.searchsorted(items, pools))

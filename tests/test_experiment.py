@@ -12,9 +12,10 @@ import weakref
 import numpy as np
 import pytest
 import yaml
+from scipy.linalg import lapack
 
 from alignrec import ConfigError, SolverError, grid_search, load_config, run_experiment
-from alignrec import alignment, data, evaluation, features, solvers, synthetic
+from alignrec import alignment, data, evaluation, features, linalg, solvers, synthetic
 from alignrec.cli import main
 from alignrec.errors import StageError
 from alignrec.features import write_embeddings_text
@@ -747,5 +748,27 @@ def test_warm_run_records_the_general_route_and_no_fallback(planted_config):
     manifest, facts = _run_facts(run_experiment(planted_config(protocol="warm", negatives=20)))
     assert manifest["grid_failed"] == 0
     assert manifest["popularity_fallback"] is False
-    assert facts["route"] == "general" and facts["factorization"] == "lu"
+    assert facts["route"] == "general" and facts["factorization"] == "cholesky+lu"
     assert facts["cold_columns_solved"] == 0
+
+
+def test_runs_record_the_smallest_rcond_of_their_shared_inverse(planted_config):
+    # a warm EASE run: its core by Cholesky, the decay columns by LU
+    _, facts = _run_facts(run_experiment(planted_config(protocol="warm", negatives=20,
+                                                        name="warm")))
+    assert facts["factorization"] == "cholesky+lu"
+    assert isinstance(facts["rcond_min"], float)
+    assert linalg.RCOND_FLOOR <= facts["rcond_min"] <= 1.0
+    # a cold MSLIM run: dpocon's rcond of K_WW = w1 X_W^T X_W + lambda1 I, to
+    # the 3 significant digits recorded
+    outdir = run_experiment(planted_config(solver="mslim", name="cold"))
+    manifest, facts = _run_facts(outdir)
+    assert facts["factorization"] == "cholesky"
+    X = load_split(os.path.join(outdir, "splits")).train.X
+    X_warm = X[:, np.flatnonzero(X.getnnz(axis=0))]
+    point = manifest["selected"]
+    k = point["w1"] * (X_warm.T @ X_warm).toarray() + point["lambda1"] * np.eye(X_warm.shape[1])
+    c, info = lapack.dpotrf(k)
+    assert info == 0
+    rcond = lapack.dpocon(c, np.abs(k).sum(axis=0).max())[0]
+    assert facts["rcond_min"] == float(f"{rcond:.3g}")
