@@ -503,7 +503,12 @@ def _read_pairs_csv(path, umap, imap):
 
 
 def load_split(dirpath):
-    """Load a persisted split directory; returns ColdSplit or WarmSplit."""
+    """Load a persisted split directory; returns ColdSplit or WarmSplit.
+
+    A warm split whose held-out item, or one of whose negatives, lies in
+    that user's training history raises FormatError naming the user and
+    the file.
+    """
     manifest = read_json(os.path.join(dirpath, "manifest.json"))
     user_ids = tuple(manifest["user_ids"])
     item_ids = tuple(manifest["item_ids"])
@@ -541,6 +546,17 @@ def load_split(dirpath):
     negs, _ = read("negatives")
     if np.any(np.bincount(negs[:, 0], minlength=len(user_ids)) != n_neg):
         raise FormatError(f"{dirpath}: negatives file must hold {n_neg} rows per user")
+    # evaluation would mask a ranked item inside the user's training history
+    # as a training positive, silently
+    n_items = len(item_ids)
+    trained = pairs[:, 0] * n_items + pairs[:, 1]
+    for name, held in (("test", test), ("negatives", negs)):
+        inside = np.flatnonzero(np.isin(held[:, 0] * n_items + held[:, 1], trained))
+        if len(inside):
+            u, it = held[inside[0]]
+            raise FormatError(
+                f"{os.path.join(dirpath, manifest['files'][name])}: the {name} item "
+                f"{item_ids[it]!r} of user {user_ids[u]!r} is in that user's training history")
     by_user = np.argsort(negs[:, 0], kind="stable")
     return WarmSplit(
         train=train,

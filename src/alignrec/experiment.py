@@ -460,6 +460,11 @@ class _Pipeline:
             "grid_size": len(self.trace),
             "grid_failed": sum(row["status"] == "failed" for row in self.trace),
             "popularity_fallback": self.popularity_fallback,
+            # items with no vector in each embedding file, given zero rows
+            "missing_embeddings": {
+                block.attribute: block.missing
+                for spec, block in zip(self.cfg["attributes"], self.features.blocks)
+                if spec.kind == "embedding_file"},
             "files": {
                 "model": "model.bin",
                 "trace": "grid_trace.csv",

@@ -9,9 +9,14 @@ Two backbones share the aligned-system structure:
   column's system is one shared matrix K plus a low-rank term from the
   users who clicked the item, so K is inverted once and each column takes
   a Sherman-Morrison-Woodbury step with a small capacitance solve (a
-  closed form when no user clicked it). A column solves its full system
-  directly when the capacitance would be as large as K or fails the rcond
-  check, and every column does when K itself is singular.
+  closed form when no user clicked it). The Woodbury columns share Y = X Q,
+  users x items with Q = K^-1 (times I + H when a clicked item has a decay
+  weight), formed once per fit, and go in groups of consecutive columns
+  whose stacked click rows fit a cell budget (_GROUP_CELLS): a group
+  gathers its rows of X and Y once and applies its updates in one
+  product. A column solves its full system directly when the capacitance
+  would be as large as K or fails the rcond check, and every column does
+  when K itself is singular.
 
 Both start from S = X^T (X + B), with X^T B taken from the Gram; an
 alignment matrix B acts when it is given with alpha != 0. A FitContext of
@@ -306,55 +311,98 @@ def fit_ease(X, cfg, F=None, B=None, context=None):
 
 _ROUTES = ("rank_one", "woodbury", "direct")  # diagnostics count the columns of each
 
+# Most cells (stacked click rows x items) a Woodbury group gathers from Y = X Q
+# at once: 2^16 float64s, 512 KiB
+_GROUP_CELLS = 2**16
 
-def _mslim_columns(cols, k, p, m, q, Xcsr, Xcsc, cfg, n, theta, route, failures):
-    """Solve the listed columns into ``theta``; ``route[i]`` indexes _ROUTES.
 
-    The clicking users' rows X_i give V_i = X_i M and V_i P = X_i Q, so a
-    Woodbury column needs one sparse product with a dense matrix the size of
-    K. A column with r_i + 1 >= n, n the item count of the whole fit, is
-    solved directly on either route.
+def _woodbury_groups(cols, r, width):
+    """Runs of consecutive ``cols`` whose click rows ``r`` stack to at most
+    _GROUP_CELLS cells of ``width`` items; a column alone may exceed it."""
+    groups, start, rows = [], 0, 0
+    for j, i in enumerate(cols):
+        if j > start and (rows + r[i]) * width > _GROUP_CELLS:
+            groups.append(cols[start:j])
+            start, rows = j, 0
+        rows += r[i]
+    if len(cols):
+        groups.append(cols[start:])
+    return groups
+
+
+def _woodbury_group(g, p, y, Xcsr, Xcsc, cfg, theta, route):
+    """Solve the Woodbury columns ``g`` into ``theta``, setting their ``route``;
+    a column whose capacitance fails the rcond check keeps the direct route.
+
+    With U = [X_i^T, e_i], W = [w_gap V_i; gamma1 e_i^T] and p = P e_i,
+    S_i^-1 e_i = p - P U (I + W P U)^-1 W p, where V_i P = X_i Q is the row
+    gather Y[rows_i]. The group stacks its columns' click rows once: one sparse
+    X_g, one gather of Y, one X_g P[g]^T for the capacitances' last rows,
+    and after the solves one bincount for every X_i^T z and one P U gemm.
     """
-    w_gap, shift = cfg.w0 - cfg.w1, cfg.lambda1 + cfg.gamma1
-    for i in cols:
-        rows = Xcsc.indices[Xcsc.indptr[i]:Xcsc.indptr[i + 1]] if w_gap != 0.0 else ()
-        r = len(rows)
-        xi = Xcsr[rows] if r else None
-        s = None  # S_i^-1 e_i
-        if p is not None and r == 0 and 1.0 + cfg.gamma1 * p[i, i] != 0.0:
-            # S_i = K + gamma1 e_i e_i^T: Sherman-Morrison in closed form
-            s, route[i] = p[:, i] / (1.0 + cfg.gamma1 * p[i, i]), 0
-        elif p is not None and 0 < r < n - 1:
-            # Woodbury with U = [X_i^T, e_i] and W = [w_gap V_i; gamma1 e_i^T]:
-            # S_i^-1 e_i = p - P U (I + W P U)^-1 W p
-            vp = xi @ q
-            cap = np.empty((r + 1, r + 1))
-            cap[:r, :r] = w_gap * (xi @ vp.T).T
-            cap[:r, r] = w_gap * vp[:, i]
-            cap[r] = cfg.gamma1 * np.append(xi @ p[i], p[i, i])
-            wp = cap[:, r].copy()
-            cap.flat[::r + 2] += 1.0
-            try:
-                z = solve_general(cap, wp)
-            except SingularMatrixError:
-                pass  # e.g. a negative update (w1 > w0): solve S_i directly
-            else:
-                s, route[i] = p[:, i] * (1.0 - z[r]) - p @ (xi.T @ z[:r]), 1
-        if s is not None:
-            theta[:, i] = -shift * s
-            theta[i, i] += 1.0
-            continue
-        route[i] = 2
-        a = k.copy()
-        if r:
-            a += w_gap * np.asarray(xi.T @ (xi @ m))
-        a[i, i] += cfg.gamma1
-        rhs = a[:, i].copy()
-        rhs[i] -= shift
+    w_gap, n = cfg.w0 - cfg.w1, Xcsr.shape[1]
+    lo, hi = Xcsc.indptr[g], Xcsc.indptr[g + 1]
+    rows = np.concatenate([Xcsc.indices[a:b] for a, b in zip(lo, hi)])
+    off = np.concatenate([[0], np.cumsum(hi - lo)])  # column j's rows are off[j]:off[j + 1]
+    xg, vpg = Xcsr[rows], y[rows]
+    last = xg @ p[g].T  # column j's rows hold X_i p[i]
+    zx, zr = np.zeros(len(rows)), np.zeros(len(g))
+    solved = np.zeros(len(g), dtype=bool)
+    for j, i in enumerate(g):
+        a, b = off[j], off[j + 1]
+        r, ea, eb = b - a, xg.indptr[a], xg.indptr[b]
+        xi = sp.csr_matrix((xg.data[ea:eb], xg.indices[ea:eb], xg.indptr[a:b + 1] - ea),
+                           shape=(r, n))
+        vp = vpg[a:b]
+        cap = np.empty((r + 1, r + 1))
+        cap[:r, :r] = w_gap * (xi @ vp.T).T
+        cap[:r, r] = w_gap * vp[:, i]
+        cap[r, :r] = cfg.gamma1 * last[a:b, j]
+        cap[r, r] = cfg.gamma1 * p[i, i]
+        wp = cap[:, r].copy()
+        cap.flat[::r + 2] += 1.0
         try:
-            theta[:, i] = solve_general(a, rhs)
-        except SingularMatrixError as e:
-            failures.append((i, str(e)))
+            z = solve_general(cap, wp)
+        except SingularMatrixError:
+            continue  # e.g. a negative update (w1 > w0): solve S_i directly
+        zx[a:b], zr[j], solved[j] = z[:r], z[r], True
+    # X_i^T z for every column at once, each into its own n-wide bin range
+    per_row = np.diff(xg.indptr)
+    owner = np.repeat(np.repeat(np.arange(len(g)), hi - lo), per_row)
+    u = np.bincount(owner * n + xg.indices, weights=xg.data * np.repeat(zx, per_row),
+                    minlength=len(g) * n).reshape(len(g), n)
+    s = p[:, g] * (1.0 - zr) - p @ u.T
+    done = g[solved]
+    theta[:, done] = -(cfg.lambda1 + cfg.gamma1) * s[:, solved]
+    theta[done, done] += 1.0
+    route[done] = 1
+
+
+def _direct_column(i, k, m, Xcsr, Xcsc, cfg, theta, failures):
+    """Solve column i's full system S_i = K + w_gap X_i^T V_i + gamma1 e_i e_i^T
+    into ``theta``; V_i = X_i M, or X_i when ``m`` is None."""
+    w_gap = cfg.w0 - cfg.w1
+    a = k.copy()
+    if w_gap != 0.0 and Xcsc.indptr[i + 1] > Xcsc.indptr[i]:
+        xi = Xcsr[Xcsc.indices[Xcsc.indptr[i]:Xcsc.indptr[i + 1]]]
+        a += w_gap * ((xi.T @ xi).toarray() if m is None else np.asarray(xi.T @ (xi @ m)))
+    a[i, i] += cfg.gamma1
+    rhs = a[:, i].copy()
+    rhs[i] -= cfg.lambda1 + cfg.gamma1
+    try:
+        theta[:, i] = solve_general(a, rhs)
+    except SingularMatrixError as e:
+        failures.append((i, str(e)))
+
+
+def _run(fn, tasks, workers):
+    """Call ``fn`` on each task, on ``workers`` threads when more than one."""
+    if workers <= 1 or len(tasks) <= 1:
+        for t in tasks:
+            fn(t)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fn, tasks))  # re-raises a task's exception
 
 
 def fit_mslim(X, cfg, B=None, workers=1, context=None):
@@ -367,7 +415,13 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
     = X_i + B[rows_i] and one shared K = w1 X^T (X + B) + lambda1 I, inverted
     once. A column with no click update takes a closed form, any other a
     Woodbury step; S_i is solved directly when r_i + 1 >= n, its capacitance
-    fails the rcond check, or K is singular. Workers never change the result.
+    fails the rcond check, or K is singular. V_i P = X_i Q with Q = M P and
+    M = I + H, H = B's item map, or Q = P when no column of K has a decay
+    weight: Y = X Q is formed once, and the Woodbury columns go in groups
+    of consecutive columns whose stacked click rows hold at most
+    _GROUP_CELLS cells of Y, each with one gather of X and Y (see
+    _woodbury_group). Threads take whole groups, and direct columns one by
+    one, so workers never change the result.
 
     ``context`` is a FitContext of X to share between fits. With lambda1 > 0
     its block route fits the warm columns on the warm block alone and sets
@@ -383,33 +437,38 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
     Xcsr, items = (ctx.X_warm, ctx.warm) if block else (ctx.X, np.arange(ctx.X.shape[1]))
     k = system.s()
     k *= cfg.w1
-    h = None
+    m = None  # V_i = X_i M; M = I + H only when an item of K has a decay weight
     if system.decay.any():
-        h = B.item_map()[np.ix_(items, items)] if block else B.item_map()
+        m = np.eye(len(k)) + (B.item_map()[np.ix_(items, items)] if block else B.item_map())
     Xcsc = Xcsr.tocsc()
     n = len(k)
     k.flat[::n + 1] += cfg.lambda1
-    m = np.eye(n) + (0.0 if h is None else h)  # V_i = X_i M
     core = ~system.decay if cfg.lambda1 > 0 else False  # w1 X^T X + lambda1 I is SPD
     try:
         p, rcond = invert(k, spd=core, return_rcond=True)
     except SingularMatrixError:
-        p = q = rcond = None  # every column solves directly; a singular one fails
-    else:
-        q = p if h is None else m @ p
+        p = rcond = None  # every column solves directly; a singular one fails
 
     theta = np.zeros((n, n))
-    route = np.zeros(n, dtype=np.int8)
+    route = np.full(n, 2, dtype=np.int8)
     failures = []
-    args = (k, p, m, q, Xcsr, Xcsc, cfg, ctx.X.shape[1], theta, route, failures)
-    if workers <= 1:
-        _mslim_columns(range(n), *args)
-    else:
-        chunks = np.array_split(np.arange(n), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_mslim_columns, chunk, *args) for chunk in chunks if len(chunk)]
-            for f in futs:
-                f.result()
+    r = np.diff(Xcsc.indptr) if cfg.w0 != cfg.w1 else np.zeros(n, dtype=np.intp)
+    if p is not None:
+        # S_i = K + gamma1 e_i e_i^T: Sherman-Morrison in closed form
+        denom = 1.0 + cfg.gamma1 * np.diag(p)
+        one = np.flatnonzero((r == 0) & (denom != 0.0))
+        theta[:, one] = -(cfg.lambda1 + cfg.gamma1) * (p[:, one] / denom[one])
+        theta[one, one] += 1.0
+        route[one] = 0
+        # r_i + 1 >= n, n the item count of the whole fit, solves directly on either route
+        wood = np.flatnonzero((r > 0) & (r < ctx.X.shape[1] - 1))
+        if len(wood):
+            y = Xcsr @ np.ascontiguousarray(p if m is None else m @ p)  # Y = X Q
+            _run(lambda g: _woodbury_group(g, p, y, Xcsr, Xcsc, cfg, theta, route),
+                 _woodbury_groups(wood, r, n), workers)
+            del y
+    _run(lambda i: _direct_column(i, k, m, Xcsr, Xcsc, cfg, theta, failures),
+         np.flatnonzero(route == 2).tolist(), workers)
     failures = [(int(items[i]), e) for i, e in failures]
     if block:
         cold = None

@@ -20,6 +20,7 @@ from alignrec import (
     save_cold_split,
     save_warm_split,
 )
+from alignrec.cli import exit_code_for
 from alignrec.synthetic import planted_dataset, write_dataset_csvs
 
 
@@ -386,6 +387,25 @@ def test_load_split_rejects_short_negatives_file(tmp_path):
     neg_file.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
     with pytest.raises(FormatError, match="negatives"):
         load_split(str(tmp_path / "s"))
+
+
+@pytest.mark.parametrize("name", ["test", "negatives"])
+def test_load_split_rejects_a_ranked_item_in_the_training_history(tmp_path, name):
+    d, _ = planted_dataset(n_users=60, n_items=50, n_topics=5, seed=2)
+    split = make_warm_split(d, min_user_clicks=10, negatives=5, seed=2)
+    save_warm_split(split, str(tmp_path / "s"))
+    # the first row of the file names a user; give it one of that user's training items
+    path = tmp_path / "s" / f"{name}.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split(",")
+    user = fields[0]
+    u = split.train.user_ids.index(user)
+    fields[1] = split.train.item_ids[split.train.X[u].indices[0]]
+    lines[1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"{name}.csv: the {name} item .* of user '{user}' is in") as e:
+        load_split(str(tmp_path / "s"))
+    assert exit_code_for(e.value) == 3
 
 
 # --------------------------------------------------------- benchmark inputs

@@ -752,6 +752,19 @@ def test_warm_run_records_the_general_route_and_no_fallback(planted_config):
     assert facts["cold_columns_solved"] == 0
 
 
+def test_run_records_missing_embeddings_per_attribute(planted_config):
+    path = planted_config()
+    cfg = yaml.safe_load(open(path, encoding="utf-8"))
+    items = data.load_interactions(cfg["data"]["interactions"]).item_ids
+    emb = os.path.join(os.path.dirname(path), "items.emb")
+    # every item but the first has a vector
+    write_embeddings_text(emb, items[1:], np.ones((len(items) - 1, 2)))
+    _rewrite(path, lambda c: c["attributes"].append(
+        {"name": "vec", "kind": "embedding_file", "path": emb}))
+    manifest, _ = _run_facts(run_experiment(path))
+    assert manifest["missing_embeddings"] == {"vec": 1}
+
+
 def test_runs_record_the_smallest_rcond_of_their_shared_inverse(planted_config):
     # a warm EASE run: its core by Cholesky, the decay columns by LU
     _, facts = _run_facts(run_experiment(planted_config(protocol="warm", negatives=20,

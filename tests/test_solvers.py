@@ -2,6 +2,8 @@
 
 import hashlib
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,8 +27,9 @@ from alignrec import (
     predict,
     save_model,
 )
+from alignrec import solvers
 from alignrec.errors import SingularMatrixError
-from alignrec.linalg import solve_general
+from alignrec.linalg import invert, solve_general
 from alignrec.solvers import popularity_scores, random_scores
 
 
@@ -324,6 +327,166 @@ def test_mslim_failed_capacitance_solves_the_column_directly(monkeypatch):
         "rank_one": int((r == 0).sum()), "woodbury": 0, "direct": int((r > 0).sum())}
     expected = _brute_mslim(X, cfg, Bd=B.materialize())
     assert np.abs(model.theta - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
+
+
+def reference_mslim_columns(X, cfg, B=None):
+    """The per-column MSLIM loop the grouped Woodbury step replaced.
+
+    Returns (theta, columns_by_route), or (None, the singular columns) where
+    fit_mslim raises SolverError. Each Woodbury column gathers its own rows
+    X_i, forms X_i Q from the whole inverse and solves its capacitance, a
+    local ``cap``, through ``solvers.solve_general`` as looked up at call time.
+    """
+    ctx = solvers.FitContext(X)
+    block = ctx.block and cfg.lambda1 > 0
+    system = ctx.system(B, block)
+    Xcsr, items = (ctx.X_warm, ctx.warm) if block else (ctx.X, np.arange(X.shape[1]))
+    k = system.s() * cfg.w1
+    n = len(k)
+    h = None
+    if system.decay.any():
+        h = B.item_map()[np.ix_(items, items)] if block else B.item_map()
+    Xcsc = Xcsr.tocsc()
+    k.flat[::n + 1] += cfg.lambda1
+    m = np.eye(n) + (0.0 if h is None else h)
+    try:
+        p = invert(k, spd=~system.decay if cfg.lambda1 > 0 else False)
+    except SingularMatrixError:
+        p = q = None
+    else:
+        q = p if h is None else m @ p
+    theta, route, failures = np.zeros((n, n)), np.zeros(n, dtype=np.int8), []
+    w_gap, shift = cfg.w0 - cfg.w1, cfg.lambda1 + cfg.gamma1
+    for i in range(n):
+        rows = Xcsc.indices[Xcsc.indptr[i]:Xcsc.indptr[i + 1]] if w_gap != 0.0 else ()
+        r = len(rows)
+        xi = Xcsr[rows] if r else None
+        s = None
+        if p is not None and r == 0 and 1.0 + cfg.gamma1 * p[i, i] != 0.0:
+            s, route[i] = p[:, i] / (1.0 + cfg.gamma1 * p[i, i]), 0
+        elif p is not None and 0 < r < X.shape[1] - 1:
+            vp = xi @ q
+            cap = np.empty((r + 1, r + 1))
+            cap[:r, :r] = w_gap * (xi @ vp.T).T
+            cap[:r, r] = w_gap * vp[:, i]
+            cap[r] = cfg.gamma1 * np.append(xi @ p[i], p[i, i])
+            wp = cap[:, r].copy()
+            cap.flat[::r + 2] += 1.0
+            try:
+                z = solvers.solve_general(cap, wp)
+            except SingularMatrixError:
+                pass
+            else:
+                s, route[i] = p[:, i] * (1.0 - z[r]) - p @ (xi.T @ z[:r]), 1
+        if s is not None:
+            theta[:, i] = -shift * s
+            theta[i, i] += 1.0
+            continue
+        route[i] = 2
+        a = k.copy()
+        if r:
+            a += w_gap * np.asarray(xi.T @ (xi @ m))
+        a[i, i] += cfg.gamma1
+        rhs = a[:, i].copy()
+        rhs[i] -= shift
+        try:
+            theta[:, i] = solvers.solve_general(a, rhs)
+        except SingularMatrixError:
+            failures.append(int(items[i]))
+    if block:
+        cold = None
+        if system.wc is not None:
+            k_wc = cfg.w1 * system.wc
+            try:
+                cold = p @ k_wc if p is not None else solvers.solve_general(k, k_wc)
+            except SingularMatrixError:
+                failures += ctx.cold.tolist()
+        theta = solvers._block_theta(ctx, theta, cold, system)
+        route = np.concatenate([route, np.zeros(len(ctx.cold), dtype=np.int8)])
+    if failures:
+        return None, sorted(failures)
+    return theta, dict(zip(("rank_one", "woodbury", "direct"),
+                           np.bincount(route, minlength=3).tolist()))
+
+
+def _fail_capacitances(m, rhs):
+    """solve_general, except that a Woodbury capacitance (its caller's ``cap``) fails."""
+    if m is sys._getframe(1).f_locals.get("cap"):
+        raise SingularMatrixError("forced", pivot=0)
+    return solve_general(m, rhs)
+
+
+def _fit_or_columns(X, cfg, B, workers=1):
+    """fit_mslim's (theta, columns_by_route), or (None, its SolverError columns)."""
+    try:
+        model = fit_mslim(X, cfg, B=B, workers=workers)
+    except SolverError as e:
+        return None, e.columns
+    return model.theta, model.diagnostics["columns_by_route"]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(2, 10), dense=st.booleans(),
+       cold=st.sampled_from(["none", "some", "all-but-one"]),
+       w1=st.sampled_from([0.0, 0.4, 1.7]), gamma1=st.sampled_from([0.0, 2.5]),
+       alignment=st.sampled_from(["none", "cold-d", "warm-d"]),
+       zero_lambda=st.booleans(), fail_caps=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_grouped_woodbury_matches_the_per_column_loop(seed, n_items, dense, cold, w1, gamma1,
+                                                      alignment, zero_lambda, fail_caps):
+    # w1 = 1.7 > w0 is a negative update, a dense X gives r_i + 1 >= n direct
+    # columns, "warm-d" puts a decay weight on clicked items (M = I + H), and a
+    # zero lambda1 with cold items makes K singular
+    X, cfg, B = _mslim_case(seed, n_items, dense, cold, w1, gamma1, alignment)
+    if zero_lambda:
+        cfg.lambda1 = 0.0
+    solve = _fail_capacitances if fail_caps else solve_general
+    with mock.patch.object(solvers, "solve_general", solve):
+        ref_theta, ref_routes = reference_mslim_columns(X, cfg, B)
+        # one column per group, the default budget, and every column in one group
+        for cells in (1, solvers._GROUP_CELLS, 2**62):
+            with mock.patch.object(solvers, "_GROUP_CELLS", cells):
+                theta, routes = _fit_or_columns(X, cfg, B)
+            assert routes == ref_routes
+            if ref_theta is None:
+                assert theta is None
+                continue
+            tol = 1e-12 * max(1.0, np.abs(ref_theta).max())
+            assert np.abs(theta - ref_theta).max() <= tol
+        # more threads than cores, switching often, must lose no column update
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded, threaded_routes = _fit_or_columns(X, cfg, B, workers=3)
+        finally:
+            sys.setswitchinterval(interval)
+    assert threaded_routes == routes
+    assert (theta is None and threaded is None) or np.array_equal(theta, threaded)
+
+
+def test_mslim_scratch_memory_is_bounded():
+    # many users over few items, each item clicked by fewer users than there
+    # are items (the Woodbury route), so that X dense is large against the
+    # fit's items-squared matrices
+    rng = np.random.default_rng(3)
+    n_users, n_items = 10000, 200
+    x = rng.random((n_users, n_items)) < 0.01
+    x[rng.integers(0, n_users, size=n_items), np.arange(n_items)] = True
+    X = sp.csr_matrix(x.astype(np.float64))
+    del x
+    cfg = MslimConfig(w1=0.5, lambda1=5.0, gamma1=10.0)
+    tracemalloc.start()
+    try:
+        model = fit_mslim(X, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.diagnostics["columns_by_route"]["woodbury"] == n_items
+    # Y = X Q (users x items), a few group gathers, sparse copies of X and the
+    # items-squared K, P and theta; densifying X, or keeping one items-wide
+    # block per column, adds at least another users x items
+    bound = (8 * n_users * n_items + 4 * 8 * solvers._GROUP_CELLS
+             + 3 * 12 * X.nnz + 8 * 8 * n_items**2)
+    assert peak < bound
 
 
 def _direct_singular_columns(X, cfg, Bd=None):
