@@ -11,6 +11,14 @@ depth array. One ``np.searchsorted`` of its keys user * n_items + item into
 the sorted relevant keys gives the hit-rank table that every metric and k
 reads. Caller-built lists go ``_HIT_CHUNK`` at a time, padded with -1, so
 the table's scratch memory is a few MB whatever the number of users.
+
+The pipeline forms no users x items score matrix: a score source forms
+one block of users at a time, at most ``_SCORE_CELLS`` scores
+(``rank_scenarios`` for test evaluation, ``validation_metrics`` for
+selection). A CSR times dense product sums each entry over its row's
+clicks in stored order, whatever the other rows, so a block's scores
+equal those rows of the full product bit for bit, and the blocked ranks
+equal the full matrix's.
 """
 
 from __future__ import annotations
@@ -284,44 +292,70 @@ def _pool_columns(items, pools, n):
 
 # pool cells per ranking block: a block's scratch stays near a MB at any user count
 _RANK_CELLS = 2**16
+# scores a score source forms per block (2 MiB of float64), whatever the user count
+_SCORE_CELLS = 2**18
 
 
 def build_ranked_lists(scores, split, scenario, use="test", depth=None, items=None, pooled=None):
     """A RankedLists of the first ``depth`` places (None: all) of each user's
     pool of one scenario, in ``rank_candidates`` order: training positives
-    (on a shared pool, the block's CSR rows through an item -> place map)
-    masked to -inf, so they and any -inf score rank after every finite
-    score, NaN after them, ties toward the lower item index. Per block of
+    (the block's CSR entries, read from ``indptr``/``indices``) masked to
+    -inf, so they and any -inf score rank after every finite score, NaN
+    after them, ties toward the lower item index. Per block of
     ``_RANK_CELLS`` pool cells, one ``np.lexsort`` orders each row's cells up
     to and tied with its depth-th key (the whole row when that key is NaN).
 
     ``scores`` is users x items; given ``items`` (ascending, holding every
     pool item), it is instead one row per ranked user, in ``_pools`` order,
-    and one column per entry of ``items``. ``pooled``: ``_pools``' result.
+    and one column per entry of ``items``. Or it is a score source: a
+    callable ``scores(u, cols)`` that returns, as a new array, the scores of
+    one block's users ``u`` at their pool cells ``cols`` (columns of
+    ``items``, or item indices). With a score source or per-user pools, a
+    block also holds at most ``_SCORE_CELLS`` // len(items) users (every
+    item when None), so a source that forms whole rows forms at most
+    ``_SCORE_CELLS`` scores at a time, and per-user pools find their
+    positives in a block x columns mask of as many bools.
+    ``pooled``: ``_pools``' result.
     """
     users, pools, relevant = _pools(split, scenario, use) if pooled is None else pooled
     X = split.train.X
+    n = X.shape[1]
+    ncols = n if items is None else len(items)
     rows, cols = ((users, pools) if items is None else
-                  (np.arange(len(users)), _pool_columns(items, pools, X.shape[1])))
+                  (np.arange(len(users)), _pool_columns(items, pools, n)))
     width = pools.shape[1]
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     depth = width if depth is None else min(depth, width)
     step = max(1, _RANK_CELLS // width)
+    if callable(scores) or len(pools) > 1:
+        step = min(step, max(1, _SCORE_CELLS // ncols))
+    # each item's place in a shared pool, else its column of the scores; -1: none
+    place = np.full(n, -1)
     if len(pools) == 1:
-        place = np.full(X.shape[1], -1)
         place[pools[0]] = np.arange(width)
+    else:
+        place[np.arange(n) if items is None else items] = np.arange(ncols)
     ranked = np.empty((len(users), depth), dtype=pools.dtype)
     for lo in range(0, len(users), step):
         u = users[lo : lo + step]
         pool = pools[lo : lo + step] if len(pools) > 1 else pools
         col = cols[lo : lo + step] if len(cols) > 1 else cols
-        key = scores[rows[lo : lo + step, None], col].astype(np.float64, copy=False)
-        # positives: the block's CSR rows mapped to pool places, or per-user pools' cells
-        x = X[u] if len(pools) == 1 else X[u[:, None], pool]
-        col = place[x.indices] if len(pools) == 1 else x.indices
-        row = np.repeat(np.arange(len(u)), np.diff(x.indptr))
-        key[row[col >= 0], col[col >= 0]] = -np.inf
+        key = (scores(u, col) if callable(scores) else
+               scores[rows[lo : lo + step, None], col]).astype(np.float64, copy=False)
+        # positives: the block's CSR entries, read from indptr/indices at their places
+        count = X.indptr[u + 1] - X.indptr[u]
+        entry = np.repeat(X.indptr[u] - np.cumsum(count) + count, count)
+        row = np.repeat(np.arange(len(u)), count)
+        at = place[X.indices[entry + np.arange(len(entry))]]
+        row, at = row[at >= 0], at[at >= 0]
+        if len(pools) == 1:
+            key[row, at] = -np.inf
+        else:
+            # per-user pools: a users x columns mask of the positives, read at the pool cells
+            mask = np.zeros((len(u), ncols), dtype=bool)
+            mask[row, at] = True
+            key[mask.take(col + (np.arange(len(u)) * ncols)[:, None])] = -np.inf
         np.negative(key, out=key)
         cut = np.partition(key, depth - 1, axis=1)[:, depth - 1 : depth]
         row, col = np.nonzero((key <= cut) | np.isnan(cut))
@@ -329,6 +363,35 @@ def build_ranked_lists(scores, split, scenario, use="test", depth=None, items=No
         first = np.searchsorted(row, np.arange(len(u)))[:, None] + np.arange(depth)
         ranked[lo : lo + step] = items[np.lexsort((items, key[row, col], row))][first]
     return RankedLists(users, ranked, relevant, X.shape[1], depth < width)
+
+
+def rank_scenarios(score_rows, split, scenarios, depth):
+    """{scenario: ``build_ranked_lists``' RankedLists to ``depth``} of each
+    test scenario of ``scenarios``, from one pass over the training rows in
+    blocks of ``_SCORE_CELLS`` scores: ``score_rows(lo, hi)`` forms the
+    scores of rows lo..hi on every item once per block, and each scenario
+    ranks its users among those rows from them. Users ascend and relevant
+    keys sort by user, so the blocks' lists concatenate to the lists of the
+    whole score matrix.
+    """
+    n_users, n = split.train.X.shape
+    pooled = {s: _pools(split, s, "test") for s in scenarios}
+    parts = {s: [] for s in pooled}
+    step = max(1, _SCORE_CELLS // n)
+    for lo in range(0, n_users, step):
+        hi = lo + step
+        block = score_rows(lo, hi)
+        for s, (users, pools, relevant) in pooled.items():
+            a, b = np.searchsorted(users, [lo, hi])
+            if a == b:
+                continue
+            c, d = np.searchsorted(relevant, [lo * n, hi * n])
+            parts[s].append(build_ranked_lists(
+                lambda u, col: block.take(col + ((u - lo) * n)[:, None]), split, s, depth=depth,
+                pooled=(users[a:b], pools if len(pools) == 1 else pools[a:b], relevant[c:d])))
+    return {s: RankedLists(*(np.concatenate([getattr(p, f) for p in ps])
+                             for f in ("users", "ranked", "relevant")), n, ps[0].truncated)
+            for s, ps in parts.items()}
 
 
 def validation_scenario(split):
@@ -349,17 +412,23 @@ def validation_metrics(X, T, split):
     grid search.
 
     Only the validation users' rows and the pool items' columns of X @ T
-    are formed, as X[users] @ T[:, items]. A CSR times dense product sums
-    each entry over its row's clicks in stored order, whatever the other
-    rows and columns, so the ranks are those of the full-width scores bit
-    for bit, and equal columns of T give exact ties.
+    are formed, one block of users at a time as X[u] @ T[:, items], at most
+    ``_SCORE_CELLS`` scores. A CSR times dense product sums each entry over
+    its row's clicks in stored order, whatever the other rows and columns,
+    so the ranks are those of the full scores bit for bit, and equal
+    columns of T give exact ties.
     """
     scenario, use = validation_scenario(split)
     pooled = _pools(split, scenario, use)
-    users, items = pooled[0], _pool_items(pooled[1], X.shape[1])
-    T = T if len(items) == T.shape[1] else T[:, items]
-    rep = evaluate_scenario(np.asarray(X[users] @ T), split, scenario, ks=(_SELECTION_K,),
-                            use=use, with_ci=False, items=items, pooled=pooled)
+    items = _pool_items(pooled[1], X.shape[1])
+    # C order, so that no block's product copies T to C order first
+    T = np.ascontiguousarray(T if len(items) == T.shape[1] else T[:, items])
+
+    def scores(u, cols):
+        return np.asarray(X[u] @ T).take(cols + (np.arange(len(u)) * len(items))[:, None])
+
+    rep = evaluate_scenario(scores, split, scenario, ks=(_SELECTION_K,), use=use,
+                            with_ci=False, items=items, pooled=pooled)
     return {f"{m.name}@{m.k}": m.mean for m in rep.metrics}
 
 
@@ -371,8 +440,9 @@ def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=METRICS,
     The pool is ranked once, to depth max(ks), and its hit ranks are
     computed once; every metric and k reduces over that table. The bootstrap
     seed defaults to the split's own seed so a rerun of the same experiment
-    reproduces the intervals byte for byte. ``items`` and ``pooled`` are
-    as in ``build_ranked_lists``.
+    reproduces the intervals byte for byte. ``scores``, ``items`` and
+    ``pooled`` are as in ``build_ranked_lists``; ``scores`` may also be the
+    scenario's RankedLists, ranked already (``rank_scenarios``).
     """
     if not ks or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                          and k >= 1 for k in ks):
@@ -380,7 +450,8 @@ def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=METRICS,
     for name in metrics:
         if name not in METRICS:
             raise ValueError(f"unknown metric {name!r}, have {list(METRICS)}")
-    table = _hit_ranks(build_ranked_lists(scores, split, scenario, use=use, depth=max(ks),
+    table = _hit_ranks(scores if isinstance(scores, RankedLists) else
+                       build_ranked_lists(scores, split, scenario, use=use, depth=max(ks),
                                           items=items, pooled=pooled))
     if seed is None:
         seed = split.seed

@@ -81,6 +81,10 @@ def _positive_int(value):
     return type(value) is int and value >= 1
 
 
+def _distinct(values):
+    return all(v not in values[:i] for i, v in enumerate(values))
+
+
 def _point_configs(acfg, solver, point):
     """The AlignmentConfig and solver config of one grid point (None for itemknn)."""
     acfg = dataclasses.replace(acfg, alpha=point.get("alpha", acfg.alpha))
@@ -200,12 +204,16 @@ def load_config(path):
            "evaluation.ks", ev["ks"], "a nonempty list of positive integers")
     ev.setdefault("scenarios",
                   ["cold", "warm", "all"] if protocol == "cold" else ["leave_one_out"])
-    _check(isinstance(ev["scenarios"], list), "evaluation.scenarios", ev["scenarios"], "a list")
+    _check(isinstance(ev["scenarios"], list) and ev["scenarios"], "evaluation.scenarios",
+           ev["scenarios"], "a nonempty list")
     for s in ev["scenarios"]:
         if s not in evaluation.SCENARIOS:
             raise ConfigError(f"unknown scenario {s!r}")
         if (s == "leave_one_out") != (protocol == "warm"):
             raise ConfigError(f"scenario {s!r} does not match protocol {protocol!r}")
+    # a repeated entry would rank a scenario twice or list a metric twice in every report
+    for key in ("metrics", "ks", "scenarios"):
+        _check(_distinct(ev[key]), f"evaluation.{key}", ev[key], "a list without repeats")
     _check(_positive_int(ev["resamples"]), "evaluation.resamples", ev["resamples"],
            "a positive integer")
     _check(type(ev["fraction"]) in (int, float) and 0 < ev["fraction"] <= 1,
@@ -427,12 +435,17 @@ class _Pipeline:
         self.model = model
 
     def evaluate(self):
-        ev = self.cfg["evaluation"]
-        scores = solvers.predict(self.model, self.split_.train.X)
+        """Rank every test scenario in one pass over the training rows, each
+        block's scores one ``predict`` of ``evaluation._SCORE_CELLS`` cells,
+        so no users x items matrix exists; the blocked ranks equal the full
+        matrix's bit for bit (see ``evaluation``). Then report each one."""
+        ev, X = self.cfg["evaluation"], self.split_.train.X
+        lists = evaluation.rank_scenarios(lambda lo, hi: solvers.predict(self.model, X[lo:hi]),
+                                          self.split_, ev["scenarios"], depth=max(ev["ks"]))
         # the bootstrap takes the split's own seed, so evaluate repeats run's reports
         self.reports = {
             scenario: evaluation.evaluate_scenario(
-                scores, self.split_, scenario, ks=tuple(ev["ks"]),
+                lists[scenario], self.split_, scenario, ks=tuple(ev["ks"]),
                 metrics=tuple(ev["metrics"]), use="test", with_ci=True,
                 resamples=ev["resamples"], fraction=ev["fraction"],
             )

@@ -5,12 +5,14 @@ import os
 import pathlib
 import shutil
 import struct
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 
-from alignrec import ConfigError, SolverError, load_model
+from alignrec import ConfigError, SolverError, cli, load_model
 from alignrec.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -514,3 +516,24 @@ def test_main_non_utf8_config_is_a_config_error(planted_config, caplog):
         fh.write(b"# \xff\n")
     assert main(["run", "--config", path]) == EXIT_CONFIG
     assert "not valid YAML" in caplog.text
+
+
+# ------------------------------------------------------------------ memory
+
+def test_main_keeps_freed_heap_through_mallopt(planted_config, capsys):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    with mock.patch("alignrec.cli.ctypes.CDLL", return_value=SimpleNamespace(mallopt=mallopt)):
+        assert main(["split", "--config", planted_config()]) == EXIT_OK
+    assert calls == [(cli._M_MMAP_THRESHOLD, 32 << 20), (cli._M_TRIM_THRESHOLD, 64 << 20)]
+
+
+@pytest.mark.parametrize("missing", [OSError("no libc"), AttributeError("mallopt"),
+                                     TypeError("no handle")])
+def test_main_runs_without_mallopt(planted_config, capsys, missing):
+    with mock.patch("alignrec.cli.ctypes.CDLL", side_effect=missing):
+        assert main(["split", "--config", planted_config()]) == EXIT_OK

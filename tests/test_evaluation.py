@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -644,3 +645,144 @@ def test_pool_items_and_columns_equal_unique_and_searchsorted(n_items, data):
     assert np.array_equal(items, np.unique(pools))
     assert np.array_equal(evaluation._pool_columns(items, pools, n_items),
                           np.searchsorted(items, pools))
+
+
+# ------------------------------------------------------------ blocked scores
+
+def _pipeline(split, scenarios, ks=(1, 10), resamples=20):
+    """An experiment pipeline holding ``split`` and no model yet, whose
+    evaluate stage ranks ``scenarios``."""
+    from alignrec.experiment import _Pipeline
+
+    protocol = "warm" if hasattr(split, "heldout") else "cold"
+    pipe = _Pipeline({"seed": 0, "workers": 1, "output": "unused", "_path": "config.yaml",
+                      "split": {"protocol": protocol}, "_alignment": None,
+                      "evaluation": {"metrics": list(evaluation.METRICS), "ks": list(ks),
+                                     "scenarios": list(scenarios), "resamples": resamples,
+                                     "fraction": 0.5}})
+    pipe.split_ = split
+    return pipe
+
+
+@st.composite
+def blocked_cases(draw):
+    """A split, item weights theta with duplicated columns (exact ties) and
+    inf/NaN products, and the test scenarios of its protocol: a cold split's
+    cold, warm and all (any of them may have no users) or a warm split's
+    leave_one_out."""
+    n_users, n_items = draw(st.integers(1, 9)), draw(st.integers(2, 10))
+    clicked = np.array(draw(st.lists(st.booleans(), min_size=n_users * n_items,
+                                     max_size=n_users * n_items))).reshape(n_users, n_items)
+    base = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, -1.0, 1 / 3, 1e308, np.inf,
+                                                   -np.inf, np.nan]),
+                                  min_size=n_items * n_items, max_size=n_items * n_items)))
+    columns = draw(st.lists(st.integers(0, n_items - 1), min_size=n_items, max_size=n_items))
+    theta = base.reshape(n_items, n_items)[:, columns]
+    if draw(st.booleans()):
+        width = draw(st.integers(2, n_items))
+        pools = np.array([draw(st.permutations(range(n_items)))[:width] for _ in range(n_users)])
+        split = _split_over(clicked, heldout=pools[:, 0], negatives=pools[:, 1:])
+        return theta, split, ["leave_one_out"]
+    cold = draw(st.lists(st.integers(0, n_items - 1), min_size=1, max_size=n_items - 1,
+                         unique=True))
+    held = draw(st.lists(st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1)),
+                         min_size=1, max_size=12))
+    return theta, _split_over(clicked, sorted(cold), np.array(held)), ["cold", "warm", "all"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=blocked_cases(), cells=st.sampled_from([1, evaluation._SCORE_CELLS, 2**40]))
+def test_blocked_scores_report_like_the_dense_score_matrix(case, cells):
+    """The evaluate stage and the validation scorer, one block of users at a
+    time (one row, the default budget, everything in one block), against
+    the dense users x items contract path: report JSON bytes and metric
+    dicts are equal, and a scenario without users fails the same way."""
+    from alignrec import ItemModel, predict
+
+    theta, split, scenarios = case
+    model = ItemModel(theta=theta, solver="test")
+    X, dense = split.train.X, predict(model, split.train.X)
+    pipe = _pipeline(split, scenarios)
+    pipe.model = model
+    ev = pipe.cfg["evaluation"]
+    try:
+        want = {s: evaluate_scenario(dense, split, s, ks=tuple(ev["ks"]),
+                                     resamples=ev["resamples"], fraction=ev["fraction"]).to_json()
+                for s in scenarios}
+    except ValueError as e:
+        with mock.patch.object(evaluation, "_SCORE_CELLS", cells), \
+                pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            pipe.evaluate()
+    else:
+        with mock.patch.object(evaluation, "_SCORE_CELLS", cells):
+            pipe.evaluate()
+        assert {s: rep.to_json() for s, rep in pipe.reports.items()} == want
+
+    scenario, use = evaluation.validation_scenario(split)
+    try:
+        want = {f"{m.name}@{m.k}": m.mean for m in evaluate_scenario(
+            dense, split, scenario, ks=(10,), use=use, with_ci=False).metrics}
+    except ValueError as e:
+        with mock.patch.object(evaluation, "_SCORE_CELLS", cells), \
+                pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            evaluation.validation_metrics(X, theta, split)
+    else:
+        with mock.patch.object(evaluation, "_SCORE_CELLS", cells):
+            assert evaluation.validation_metrics(X, theta, split) == want
+
+
+def _peak_bytes(fn):
+    """tracemalloc peak of ``fn()`` above what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _tall_split(rng, n_users=20000, n_items=100, cold=20, negatives=None):
+    """A split of ``n_users`` with five clicks each among the first n_items -
+    cold items: a cold split holding one test pair per user, or given
+    ``negatives`` per user, a warm split holding one held-out item per user
+    and its negatives, all unclicked."""
+    clicked = np.zeros((n_users, n_items), dtype=bool)
+    warm = n_items - cold
+    clicked[np.arange(n_users)[:, None], rng.random((n_users, warm)).argsort(axis=1)[:, :5]] = True
+    if negatives is None:
+        held = np.column_stack((np.arange(n_users), rng.integers(0, n_items, n_users)))
+        return _split_over(clicked, cold_items=list(range(warm, n_items)), held=held)
+    # unclicked items drawn from all n_items, so the pools cover every item
+    pools = (rng.random((n_users, n_items)) + clicked).argsort(axis=1)[:, : 1 + negatives]
+    return _split_over(clicked, heldout=pools[:, 0], negatives=pools[:, 1:])
+
+
+def _few_blocks(split, theta, depth):
+    """A few score blocks, theta, and a few users x depth rank tables; the
+    users x items score matrix alone must not fit."""
+    n_users, n_items = split.train.X.shape
+    bound = 4 * evaluation._SCORE_CELLS * 8 + theta.nbytes + 4 * n_users * depth * 8
+    assert bound < n_users * n_items * 8
+    return bound
+
+
+def test_evaluate_score_memory_is_a_few_blocks_on_a_tall_split():
+    from alignrec import ItemModel
+
+    rng = np.random.default_rng(0)
+    split = _tall_split(rng)
+    pipe = _pipeline(split, ["cold", "warm", "all"], ks=(10,), resamples=10)
+    pipe.model = ItemModel(theta=rng.random((100, 100)), solver="test")
+    # one predict of all 20000 rows is 16 MB by itself (22 MiB peak measured)
+    assert _peak_bytes(pipe.evaluate) < _few_blocks(split, pipe.model.theta, depth=10)
+    assert pipe.reports["all"].n_users == 20000
+
+
+def test_leave_one_out_validation_memory_is_a_few_blocks_on_a_tall_split():
+    rng = np.random.default_rng(1)
+    split = _tall_split(rng, negatives=4)
+    theta = rng.random((100, 100))
+    # X[users] @ T over every pool item at once is 16 MB (23 MiB peak measured)
+    peak = _peak_bytes(lambda: evaluation.validation_metrics(split.train.X, theta, split))
+    assert peak < _few_blocks(split, theta, depth=5)

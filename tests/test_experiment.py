@@ -194,6 +194,28 @@ def test_load_config_rejects_unknown_scenario(planted_config):
         load_config(path)
 
 
+@pytest.mark.parametrize("key, values, want", [
+    ("scenarios", [], "a nonempty list"),
+    ("scenarios", ["cold", "cold"], "a list without repeats"),
+    ("scenarios", ["cold", "all", "cold"], "a list without repeats"),
+    ("ks", [10, 10], "a list without repeats"),
+    ("ks", [5, 10, 5], "a list without repeats"),
+    ("metrics", ["hr", "ndcg", "hr"], "a list without repeats"),
+])
+def test_load_config_refuses_an_empty_or_repeated_evaluation_list(planted_config, key, values,
+                                                                   want):
+    path = _rewrite(planted_config(), lambda c: c.update(evaluation={key: values}))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"evaluation.{key} must be {want}, got {values!r}"
+
+
+def test_run_with_empty_scenarios_exits_2_before_any_stage(planted_config):
+    path = _rewrite(planted_config(), lambda c: c.update(evaluation={"scenarios": []}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert not os.path.exists(os.path.join(os.path.dirname(path), "out"))
+
+
 def test_workers_precedence_flag_config(planted_config, monkeypatch):
     cfg = load_config(planted_config(workers=5))
     monkeypatch.setenv("ALIGNREC_WORKERS", "3")  # no longer a source
