@@ -505,28 +505,68 @@ def _read_pairs_csv(path, umap, imap):
 def load_split(dirpath):
     """Load a persisted split directory; returns ColdSplit or WarmSplit.
 
-    A warm split whose held-out item, or one of whose negatives, lies in
-    that user's training history raises FormatError naming the user and
-    the file.
+    A seed that is not an integer, a cold item list that is empty or holds
+    an unknown or repeated id, a training click on a cold item, and a
+    held-out pair or negative that lies in that user's training history
+    raise FormatError naming the file and the offending id or user.
     """
-    manifest = read_json(os.path.join(dirpath, "manifest.json"))
+    path = os.path.join(dirpath, "manifest.json")
+    manifest = read_json(path)
     user_ids = tuple(manifest["user_ids"])
     item_ids = tuple(manifest["item_ids"])
     umap = {u: i for i, u in enumerate(user_ids)}
     imap = {it: j for j, it in enumerate(item_ids)}
 
+    def file(name):
+        return os.path.join(dirpath, manifest["files"][name])
+
     def read(name):
-        return _read_pairs_csv(os.path.join(dirpath, manifest["files"][name]), umap, imap)
+        return _read_pairs_csv(file(name), umap, imap)
 
     if manifest["protocol"] not in ("cold", "warm"):
         raise FormatError(f"{dirpath}: unknown split protocol {manifest['protocol']!r}")
+    if type(manifest["seed"]) is not int:
+        raise FormatError(f"{path}: seed must be an integer, got {manifest['seed']!r}")
     pairs, ts = read("train")
     train = Dataset.from_pairs(pairs, user_ids, item_ids, ts)
     test, _ = read("test")
+    n_items = len(item_ids)
     if manifest["protocol"] == "cold":
         val, _ = read("val")
         cold_ids = tuple(manifest["cold_item_ids"])
+        if not cold_ids:
+            raise FormatError(f"{path}: cold_item_ids is empty")
+        seen = set()
+        for c in cold_ids:
+            if c in seen or c not in imap:
+                raise FormatError(f"{path}: {'repeated' if c in seen else 'unknown'} "
+                                  f"cold item {c!r} in cold_item_ids")
+            seen.add(c)
         cold_cols = np.array(sorted(imap[c] for c in cold_ids), dtype=np.int64)
+        clicked = np.flatnonzero(np.isin(pairs[:, 1], cold_cols))
+        if len(clicked):
+            u, it = pairs[clicked[0]]
+            raise FormatError(f"{file('train')}: user {user_ids[u]!r} clicks the cold item "
+                              f"{item_ids[it]!r}")
+        held = (("val", val), ("test", test))
+    else:
+        if len(test) != len(user_ids) or len(np.unique(test[:, 0])) != len(user_ids):
+            raise FormatError(f"{dirpath}: test file must hold exactly one row per user")
+        n_neg = manifest["negatives_per_user"]
+        negs, _ = read("negatives")
+        if np.any(np.bincount(negs[:, 0], minlength=len(user_ids)) != n_neg):
+            raise FormatError(f"{dirpath}: negatives file must hold {n_neg} rows per user")
+        held = (("test", test), ("negatives", negs))
+    # evaluation would mask a ranked item inside the user's training history
+    # as a training positive, silently
+    trained = pairs[:, 0] * n_items + pairs[:, 1]
+    for name, rows in held:
+        inside = np.flatnonzero(np.isin(rows[:, 0] * n_items + rows[:, 1], trained))
+        if len(inside):
+            u, it = rows[inside[0]]
+            raise FormatError(f"{file(name)}: the {name} item {item_ids[it]!r} of user "
+                              f"{user_ids[u]!r} is in that user's training history")
+    if manifest["protocol"] == "cold":
         in_cold_v = np.isin(val[:, 1], cold_cols)
         in_cold_t = np.isin(test[:, 1], cold_cols)
         return ColdSplit(
@@ -538,25 +578,8 @@ def load_split(dirpath):
             cold_item_ids=cold_ids,
             seed=manifest["seed"],
         )
-    if len(test) != len(user_ids) or len(np.unique(test[:, 0])) != len(user_ids):
-        raise FormatError(f"{dirpath}: test file must hold exactly one row per user")
     heldout = np.empty(len(user_ids), dtype=np.int64)
     heldout[test[:, 0]] = test[:, 1]
-    n_neg = manifest["negatives_per_user"]
-    negs, _ = read("negatives")
-    if np.any(np.bincount(negs[:, 0], minlength=len(user_ids)) != n_neg):
-        raise FormatError(f"{dirpath}: negatives file must hold {n_neg} rows per user")
-    # evaluation would mask a ranked item inside the user's training history
-    # as a training positive, silently
-    n_items = len(item_ids)
-    trained = pairs[:, 0] * n_items + pairs[:, 1]
-    for name, held in (("test", test), ("negatives", negs)):
-        inside = np.flatnonzero(np.isin(held[:, 0] * n_items + held[:, 1], trained))
-        if len(inside):
-            u, it = held[inside[0]]
-            raise FormatError(
-                f"{os.path.join(dirpath, manifest['files'][name])}: the {name} item "
-                f"{item_ids[it]!r} of user {user_ids[u]!r} is in that user's training history")
     by_user = np.argsort(negs[:, 0], kind="stable")
     return WarmSplit(
         train=train,

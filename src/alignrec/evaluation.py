@@ -5,20 +5,17 @@ discounts hits by 1/log2(1+rank) and normalizes by the ideal prefix sum
 over min(k, |relevant|) positions. Score ties always break toward the
 lower item index so reruns and reorderings reproduce the same tables.
 
-Each scenario ranks every user's pool once (``build_ranked_lists``), to
-depth max(ks) and ``_RANK_CELLS`` pool cells at a time, into one users x
-depth array. One ``np.searchsorted`` of its keys user * n_items + item into
-the sorted relevant keys gives the hit-rank table that every metric and k
-reads. Caller-built lists go ``_HIT_CHUNK`` at a time, padded with -1, so
-the table's scratch memory is a few MB whatever the number of users.
-
-The pipeline forms no users x items score matrix: a score source forms
-one block of users at a time, at most ``_SCORE_CELLS`` scores
-(``rank_scenarios`` for test evaluation, ``validation_metrics`` for
-selection). A CSR times dense product sums each entry over its row's
-clicks in stored order, whatever the other rows, so a block's scores
-equal those rows of the full product bit for bit, and the blocked ranks
-equal the full matrix's.
+Every ranking is one walk, ``rank_scenarios``: a score source forms the
+scores of a block of training rows on one column set, at most
+``_SCORE_CELLS`` at a time, and ``build_ranked_lists`` ranks each pool
+there to depth max(ks) with one stable argsort per row. A cold split's
+'all' is merged from its users' cold and warm prefixes, never ranked as
+one pool. A CSR times dense product sums each entry over its row's clicks
+in stored order, whatever the other rows, so the blocked ranks equal the
+full matrix's, and no users x items score matrix is formed. One
+``np.searchsorted`` of the ranked keys user * n_items + item into the
+sorted relevant keys gives the hit-rank table that every metric and k
+reads; caller-built lists go ``_HIT_CHUNK`` at a time, padded with -1.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -82,13 +80,15 @@ def rank_candidates(scores_row, candidates):
 class RankedLists:
     """Ranked lists as arrays: row i of ``ranked`` ranks user ``users[i]``,
     ``relevant`` holds the sorted keys user * n_items + item. ``len``,
-    integer indexing and iteration give RankedList views, ``+`` a list."""
+    integer indexing and iteration give RankedList views. A score block's
+    lists also hold each place's sort ``keys`` (``build_ranked_lists``)."""
 
     users: np.ndarray
     ranked: np.ndarray
     relevant: np.ndarray
     n_items: int
     truncated: bool
+    keys: np.ndarray | None = None
 
     def __len__(self):
         return len(self.users)
@@ -104,9 +104,6 @@ class RankedLists:
         return map(RankedList, self.users.tolist(), self.ranked,
                    [items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])],
                    repeat(self.truncated))
-
-    def __add__(self, other):
-        return list(self) + list(other)
 
 
 # caller-built lists per RankedLists in _hit_ranks: few enough that one
@@ -189,22 +186,37 @@ def ndcg_at_k(lists, k):
     return _metric(_hit_ranks(lists), "ndcg", k)
 
 
+# resample indices drawn per chunk: a chunk's scratch stays near a MB
+# whatever the user count
+_DRAW_CELLS = 2**16
+
+
 def bootstrap_ci(per_user_values, resamples=500, fraction=0.20, seed=0):
     """Percentile bootstrap of the mean over user subsamples.
 
     Each resample draws ceil(fraction * n) users with replacement; the
     interval is the (2.5, 97.5) percentile range of the resample means.
+    Given one row of n values it returns (lo, hi); given a stack of rows
+    over the same n users (one per metric and k), one interval per row,
+    all from the same draws. The draws come ``_DRAW_CELLS`` indices at a
+    time; chunked ``Generator.integers`` rows equal one draw, so the
+    intervals do not depend on the chunk.
     """
     values = np.asarray(per_user_values, dtype=np.float64)
-    n = len(values)
+    rows = np.atleast_2d(values)
+    n = rows.shape[1]
     if n < 5:
         raise ValueError(f"confidence interval undefined for {n} users (need >= 5)")
     m = math.ceil(fraction * n)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(resamples, m))
-    means = values[idx].mean(axis=1)
-    lo, hi = np.percentile(means, [2.5, 97.5])
-    return float(lo), float(hi)
+    means = np.empty((len(rows), resamples))
+    step = max(1, _DRAW_CELLS // m)
+    for lo in range(0, resamples, step):
+        idx = rng.integers(0, n, size=(min(step, resamples - lo), m))
+        for row, mean in zip(rows, means):
+            mean[lo : lo + len(idx)] = row[idx].mean(axis=1)
+    cis = [(float(lo), float(hi)) for lo, hi in (np.percentile(r, [2.5, 97.5]) for r in means)]
+    return cis[0] if values.ndim == 1 else cis
 
 
 @dataclass
@@ -245,35 +257,31 @@ class EvalReport:
 
 
 def _pools(split, scenario, use):
-    """(users, pool rows, sorted relevant keys user * n_items + item): a cold
-    split's val or test pairs against the cold, warm or full item pool (one
-    row for all users), or a warm split's held-out click, then its negatives."""
+    """{pool: (item rows, sorted relevant keys user * n_items + item)} of
+    ``scenario``: a cold split's val or test pairs against its cold or warm
+    items (one row for all users, in item order; both for 'all'), or a warm
+    split's held-out clicks against each user's held-out item and negatives."""
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    n = split.train.n_items
     if scenario == "leave_one_out":
         if not hasattr(split, "heldout"):
             raise ValueError("leave_one_out needs a warm split")
         if use != "test":
             raise ValueError("warm splits have a single held-out set")
-        users = np.arange(len(split.heldout))
-        return (users, np.column_stack((split.heldout, split.negatives)),
-                users * split.train.n_items + split.heldout)
+        return {scenario: (np.column_stack((split.heldout, split.negatives)),
+                           np.arange(len(split.heldout)) * n + split.heldout)}
 
     if not hasattr(split, "cold_val"):
         raise ValueError(f"scenario {scenario!r} needs a cold split")
     if use not in ("val", "test"):
         raise ValueError(f"use must be 'val' or 'test', got {use!r}")
-    held = (split.warm_val, split.cold_val) if use == "val" else (split.warm_test, split.cold_test)
-    cold = np.isin(np.arange(split.train.n_items), split.cold_cols)
-    pairs, pool = {"cold": (held[1], np.flatnonzero(cold)),
-                   "warm": (held[0], np.flatnonzero(~cold)),
-                   "all": (np.concatenate(held), np.arange(len(cold)))}[scenario]
-    if len(pairs) == 0 or len(pool) == 0:
-        raise ValueError(f"scenario {scenario!r} has an empty candidate pool or no held-out interactions")
+    held = {p: getattr(split, f"{p}_{use}") for p in ("cold", "warm")}
+    cold = np.isin(np.arange(n), split.cold_cols)
     # distinct pairs sorted by (user, item): each user's run is its relevant set
-    n = len(cold)
-    relevant = np.unique(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
-    return np.unique(relevant // n), pool[None, :], relevant
+    return {p: (np.flatnonzero(cold == (p == "cold"))[None, :],
+                np.unique(held[p][:, 0].astype(np.int64) * n + held[p][:, 1]))
+            for p in (("cold", "warm") if scenario == "all" else (scenario,))}
 
 
 def _pool_items(pools, n):
@@ -283,9 +291,9 @@ def _pool_items(pools, n):
 
 
 def _pool_columns(items, pools, n):
-    """Each pool cell's position in ``items`` (ascending, holding every pool
-    item; np.searchsorted's), through an item -> position map over n items."""
-    column = np.zeros(n, dtype=np.intp)
+    """Each pool cell's position in ascending ``items`` (np.searchsorted's;
+    -1 for an item it lacks), through an item -> position map over n items."""
+    column = np.full(n, -1)
     column[items] = np.arange(len(items))
     return column[pools]
 
@@ -295,103 +303,114 @@ _RANK_CELLS = 2**16
 # scores a score source forms per block (2 MiB of float64), whatever the user count
 _SCORE_CELLS = 2**18
 
+ScoreBlock = namedtuple("ScoreBlock", "scores positive lo column users pool")
 
-def build_ranked_lists(scores, split, scenario, use="test", depth=None, items=None, pooled=None):
+
+def build_ranked_lists(scores, split, scenario, use="test", depth=None):
     """A RankedLists of the first ``depth`` places (None: all) of each user's
     pool of one scenario, in ``rank_candidates`` order: training positives
-    (the block's CSR entries, read from ``indptr``/``indices``) masked to
-    -inf, so they and any -inf score rank after every finite score, NaN
-    after them, ties toward the lower item index. Per block of
-    ``_RANK_CELLS`` pool cells, one ``np.lexsort`` orders each row's cells up
-    to and tied with its depth-th key (the whole row when that key is NaN).
+    masked to -inf, so they and any -inf score rank after every finite
+    score, NaN after them, ties toward the lower item index.
 
-    ``scores`` is users x items; given ``items`` (ascending, holding every
-    pool item), it is instead one row per ranked user, in ``_pools`` order,
-    and one column per entry of ``items``. Or it is a score source: a
-    callable ``scores(u, cols)`` that returns, as a new array, the scores of
-    one block's users ``u`` at their pool cells ``cols`` (columns of
-    ``items``, or item indices). With a score source or per-user pools, a
-    block also holds at most ``_SCORE_CELLS`` // len(items) users (every
-    item when None), so a source that forms whole rows forms at most
-    ``_SCORE_CELLS`` scores at a time, and per-user pools find their
-    positives in a block x columns mask of as many bools.
-    ``pooled``: ``_pools``' result.
+    ``scores`` is users x items, or a ScoreBlock: rows ``lo``, ``lo`` + 1,
+    ... scored on the columns that ``column`` maps items to, with their
+    training positives marked in ``positive``; its ``users`` rank the one
+    ``pool`` that ``scenario`` names (one item row for all or one per user,
+    in item order), ``_RANK_CELLS`` cells at a time. Its lists carry each
+    place's negated score as ``keys`` and no relevant items.
     """
-    users, pools, relevant = _pools(split, scenario, use) if pooled is None else pooled
-    X = split.train.X
-    n = X.shape[1]
-    ncols = n if items is None else len(items)
-    rows, cols = ((users, pools) if items is None else
-                  (np.arange(len(users)), _pool_columns(items, pools, n)))
-    width = pools.shape[1]
-    if depth is not None and depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    depth = width if depth is None else min(depth, width)
+    if not isinstance(scores, ScoreBlock):
+        depth = split.train.n_items if depth is None else depth
+        return rank_scenarios(lambda lo, hi: scores[lo:hi], split, (scenario,), depth, use)[scenario]
+    b, n = scores, split.train.n_items
+    ncols, width = b.scores.shape[1], b.pool.shape[1]
+    depth = min(depth, width)
+    shared = len(b.pool) == 1
+    cols = b.column[b.pool]
     step = max(1, _RANK_CELLS // width)
-    if callable(scores) or len(pools) > 1:
-        step = min(step, max(1, _SCORE_CELLS // ncols))
-    # each item's place in a shared pool, else its column of the scores; -1: none
-    place = np.full(n, -1)
-    if len(pools) == 1:
-        place[pools[0]] = np.arange(width)
-    else:
-        place[np.arange(n) if items is None else items] = np.arange(ncols)
-    ranked = np.empty((len(users), depth), dtype=pools.dtype)
-    for lo in range(0, len(users), step):
-        u = users[lo : lo + step]
-        pool = pools[lo : lo + step] if len(pools) > 1 else pools
-        col = cols[lo : lo + step] if len(cols) > 1 else cols
-        key = (scores(u, col) if callable(scores) else
-               scores[rows[lo : lo + step, None], col]).astype(np.float64, copy=False)
-        # positives: the block's CSR entries, read from indptr/indices at their places
-        count = X.indptr[u + 1] - X.indptr[u]
-        entry = np.repeat(X.indptr[u] - np.cumsum(count) + count, count)
-        row = np.repeat(np.arange(len(u)), count)
-        at = place[X.indices[entry + np.arange(len(entry))]]
-        row, at = row[at >= 0], at[at >= 0]
-        if len(pools) == 1:
-            key[row, at] = -np.inf
-        else:
-            # per-user pools: a users x columns mask of the positives, read at the pool cells
-            mask = np.zeros((len(u), ncols), dtype=bool)
-            mask[row, at] = True
-            key[mask.take(col + (np.arange(len(u)) * ncols)[:, None])] = -np.inf
+    ranked = np.empty((len(b.users), depth), dtype=b.pool.dtype)
+    keys = np.empty((len(b.users), depth))
+    for lo in range(0, len(b.users), step):
+        u = b.users[lo : lo + step]
+        pool, col = (b.pool, cols) if shared else (b.pool[lo : lo + step], cols[lo : lo + step])
+        flat = col + ((u - b.lo) * ncols)[:, None]
+        key = b.scores.take(flat).astype(np.float64, copy=False)
+        np.copyto(key, -np.inf, where=b.positive.take(flat))
         np.negative(key, out=key)
+        # one stable argsort per row of the cells up to and tied with its
+        # depth-th key (the whole row when that key is NaN), in pool order,
+        # padded with NaN, which sorts last
         cut = np.partition(key, depth - 1, axis=1)[:, depth - 1 : depth]
         row, col = np.nonzero((key <= cut) | np.isnan(cut))
-        items = np.broadcast_to(pool, key.shape)[row, col]
-        first = np.searchsorted(row, np.arange(len(u)))[:, None] + np.arange(depth)
-        ranked[lo : lo + step] = items[np.lexsort((items, key[row, col], row))][first]
-    return RankedLists(users, ranked, relevant, X.shape[1], depth < width)
+        at = np.arange(len(row)) - np.searchsorted(row, row)
+        cell = np.full((len(u), at.max() + 1), np.nan)
+        cell[row, at] = key[row, col]
+        item = np.zeros(cell.shape, dtype=pool.dtype)
+        item[row, at] = np.broadcast_to(pool, key.shape)[row, col]
+        order = np.argsort(cell, axis=1, kind="stable")[:, :depth]
+        ranked[lo : lo + step] = np.take_along_axis(item, order, 1)
+        keys[lo : lo + step] = np.take_along_axis(cell, order, 1)
+    return RankedLists(b.users, ranked, np.empty(0, dtype=np.int64), n, depth < width, keys)
 
 
-def rank_scenarios(score_rows, split, scenarios, depth):
-    """{scenario: ``build_ranked_lists``' RankedLists to ``depth``} of each
-    test scenario of ``scenarios``, from one pass over the training rows in
-    blocks of ``_SCORE_CELLS`` scores: ``score_rows(lo, hi)`` forms the
-    scores of rows lo..hi on every item once per block, and each scenario
-    ranks its users among those rows from them. Users ascend and relevant
-    keys sort by user, so the blocks' lists concatenate to the lists of the
-    whole score matrix.
+def rank_scenarios(score_rows, split, scenarios, depth, use="test", columns=None):
+    """{scenario: RankedLists to ``depth``}: the one walk over the training
+    rows. ``score_rows(lo, hi)`` scores rows lo..hi on ``columns``
+    (ascending, every pool item; None: all), ``_SCORE_CELLS`` at most, and
+    ``build_ranked_lists`` ranks each pool there once for the users that
+    need it. 'all' merges its users' cold and warm prefixes by key, then
+    item: a top place of a union is a top place of its part.
     """
-    n_users, n = split.train.X.shape
-    pooled = {s: _pools(split, s, "test") for s in scenarios}
-    parts = {s: [] for s in pooled}
-    step = max(1, _SCORE_CELLS // n)
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    X = split.train.X
+    n_users, n = X.shape
+    columns = np.arange(n) if columns is None else columns
+    # each item's column of the scores; -1: none
+    column = _pool_columns(columns, np.arange(n), n)
+    wanted, need = {}, {}
+    for s in scenarios:
+        pools = _pools(split, s, use)
+        relevant = np.sort(np.concatenate([r for _, r in pools.values()]))
+        if len(relevant) == 0:
+            raise ValueError(f"scenario {s!r} has an empty candidate pool or no held-out interactions")
+        users = np.unique(relevant // n)
+        parts = [p for p, (pool, _) in pools.items() if pool.size]
+        wanted[s] = users, relevant, sum(pools[p][0].shape[1] for p in parts), parts
+        for p in parts:
+            # pools in item order, so that the stable sort breaks ties by item
+            need[p] = (np.union1d(need[p][0], users) if p in need else users,
+                       np.sort(pools[p][0], axis=1))
+    out = {s: [] for s in wanted}
+    step = max(1, _SCORE_CELLS // len(columns))
     for lo in range(0, n_users, step):
-        hi = lo + step
-        block = score_rows(lo, hi)
-        for s, (users, pools, relevant) in pooled.items():
+        hi = min(lo + step, n_users)
+        block, lists = score_rows(lo, hi), {}
+        # the block's training positives, its CSR entries read from
+        # indptr/indices, marked once for every pool ranked in it
+        at = column[X.indices[X.indptr[lo] : X.indptr[hi]]]
+        row = np.repeat(np.arange(hi - lo), np.diff(X.indptr[lo : hi + 1]))
+        positive = np.zeros(block.shape, dtype=bool)
+        positive[row[at >= 0], at[at >= 0]] = True
+        for p, (users, pool) in need.items():
             a, b = np.searchsorted(users, [lo, hi])
-            if a == b:
+            if a < b:
+                lists[p] = build_ranked_lists(ScoreBlock(
+                    block, positive, lo, column, users[a:b], pool if len(pool) == 1 else pool[a:b]),
+                    split, p, depth=depth)
+        for s, (users, _, width, parts) in wanted.items():
+            rows = users[slice(*np.searchsorted(users, [lo, hi]))]
+            if len(rows) == 0:
                 continue
-            c, d = np.searchsorted(relevant, [lo * n, hi * n])
-            parts[s].append(build_ranked_lists(
-                lambda u, col: block.take(col + ((u - lo) * n)[:, None]), split, s, depth=depth,
-                pooled=(users[a:b], pools if len(pools) == 1 else pools[a:b], relevant[c:d])))
-    return {s: RankedLists(*(np.concatenate([getattr(p, f) for p in ps])
-                             for f in ("users", "ranked", "relevant")), n, ps[0].truncated)
-            for s, ps in parts.items()}
+            got = [(lists[p], np.searchsorted(lists[p].users, rows)) for p in parts]
+            ranked = np.hstack([g.ranked[i] for g, i in got])
+            if len(got) > 1:
+                keys = np.hstack([g.keys[i] for g, i in got])
+                order = np.lexsort((ranked, keys))[:, : min(depth, width)]
+                ranked = np.take_along_axis(ranked, order, 1)
+            out[s].append(ranked)
+    return {s: RankedLists(users, np.concatenate(out[s]), relevant, n, depth < width)
+            for s, (users, relevant, width, _) in wanted.items()}
 
 
 def validation_scenario(split):
@@ -409,40 +428,33 @@ def validation_scenario(split):
 def validation_metrics(X, T, split):
     """The SELECTION metrics of the scores X @ T on the validation target,
     keyed like SELECTION: the one scorer of mix selection and the solver
-    grid search.
-
-    Only the validation users' rows and the pool items' columns of X @ T
-    are formed, one block of users at a time as X[u] @ T[:, items], at most
-    ``_SCORE_CELLS`` scores. A CSR times dense product sums each entry over
-    its row's clicks in stored order, whatever the other rows and columns,
-    so the ranks are those of the full scores bit for bit, and equal
-    columns of T give exact ties.
+    grid search. The walk forms X[lo:hi] @ T[:, items] on the pool items;
+    equal columns of T give exact ties.
     """
     scenario, use = validation_scenario(split)
-    pooled = _pools(split, scenario, use)
-    items = _pool_items(pooled[1], X.shape[1])
+    n = X.shape[1]
+    pools = _pools(split, scenario, use).values()
+    items = _pool_items(np.concatenate([pool.ravel() for pool, _ in pools]), n)
     # C order, so that no block's product copies T to C order first
-    T = np.ascontiguousarray(T if len(items) == T.shape[1] else T[:, items])
-
-    def scores(u, cols):
-        return np.asarray(X[u] @ T).take(cols + (np.arange(len(u)) * len(items))[:, None])
-
-    rep = evaluate_scenario(scores, split, scenario, ks=(_SELECTION_K,), use=use,
-                            with_ci=False, items=items, pooled=pooled)
+    T = np.ascontiguousarray(T if len(items) == n else T[:, items])
+    lists = rank_scenarios(lambda lo, hi: np.asarray(X[lo:hi] @ T), split, (scenario,),
+                           _SELECTION_K, use, columns=items)
+    rep = evaluate_scenario(lists[scenario], split, scenario, ks=(_SELECTION_K,), use=use,
+                            with_ci=False)
     return {f"{m.name}@{m.k}": m.mean for m in rep.metrics}
 
 
 def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=METRICS,
                       use="test", with_ci=True, resamples=500, fraction=0.20,
-                      seed=None, items=None, pooled=None):
+                      seed=None):
     """Score one scenario and return an EvalReport with optional CIs.
 
     The pool is ranked once, to depth max(ks), and its hit ranks are
-    computed once; every metric and k reduces over that table. The bootstrap
-    seed defaults to the split's own seed so a rerun of the same experiment
-    reproduces the intervals byte for byte. ``scores``, ``items`` and
-    ``pooled`` are as in ``build_ranked_lists``; ``scores`` may also be the
-    scenario's RankedLists, ranked already (``rank_scenarios``).
+    computed once; every metric and k reduces over that table, and one
+    bootstrap draw gives every interval. The bootstrap seed defaults to the
+    split's own seed so a rerun of the same experiment reproduces the
+    intervals byte for byte. ``scores`` is users x items, or the scenario's
+    RankedLists, ranked already (``rank_scenarios``).
     """
     if not ks or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                          and k >= 1 for k in ks):
@@ -451,19 +463,15 @@ def evaluate_scenario(scores, split, scenario, ks=(10,), metrics=METRICS,
         if name not in METRICS:
             raise ValueError(f"unknown metric {name!r}, have {list(METRICS)}")
     table = _hit_ranks(scores if isinstance(scores, RankedLists) else
-                       build_ranked_lists(scores, split, scenario, use=use, depth=max(ks),
-                                          items=items, pooled=pooled))
-    if seed is None:
-        seed = split.seed
-    results = []
-    for name in metrics:
-        for k in ks:
-            res = _metric(table, name, k)
-            if with_ci:
-                try:
-                    res.ci = bootstrap_ci(res.per_user, resamples=resamples,
-                                          fraction=fraction, seed=seed)
-                except ValueError:
-                    log.warning("skipping CI for %s@%d: too few users", name, k)
-            results.append(res)
+                       build_ranked_lists(scores, split, scenario, use=use, depth=max(ks)))
+    results = [_metric(table, name, k) for name in metrics for k in ks]
+    if with_ci:
+        try:
+            cis = bootstrap_ci(np.stack([res.per_user for res in results]), resamples=resamples,
+                               fraction=fraction, seed=split.seed if seed is None else seed)
+        except ValueError:
+            log.warning("skipping CIs for %s: too few users", scenario)
+        else:
+            for res, ci in zip(results, cis):
+                res.ci = ci
     return EvalReport(scenario=scenario, n_users=len(table[0]), metrics=results)

@@ -422,8 +422,13 @@ class _Pipeline:
         self.split_ = data.load_split(self.split_dir)
 
     def load_model(self):
-        """Read model.bin and check that it scores the split's items in order."""
+        """Read model.bin and check that it scores the split's items in order,
+        with finite weights, as every fit checks its own."""
         model = solvers.load_model(self.model_path)
+        try:
+            solvers._check_finite(model.theta)
+        except SolverError as e:
+            raise FormatError(f"{self.model_path}: {e}") from None
         ids = self.split_.train.item_ids
         if len(model.theta) != len(ids):
             raise FormatError(f"{self.model_path}: the model has {len(model.theta)} items, "

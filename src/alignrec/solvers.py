@@ -51,6 +51,8 @@ from .linalg import gram, solve_general, invert, check_dense_budget
 log = logging.getLogger(__name__)
 
 MODEL_MAGIC = b"AITM0001"
+# the solvers whose models save_model writes
+SOLVERS = ("ease", "mslim", "itemknn")
 
 
 @dataclass
@@ -547,9 +549,9 @@ def save_model(model, path):
 def load_model(path):
     """Read a model written by save_model.
 
-    A sidecar that is not JSON, a bad magic, a layout mode other than the
-    dense 0, a file that ends early, or bytes past the last column raise
-    FormatError.
+    A sidecar that is not JSON or names another item count or an unknown
+    solver, a bad magic, a layout mode other than the dense 0, a file that
+    ends early, or bytes past the last column raise FormatError.
     """
     sidecar = read_json(path + ".json")
     with open(path, "rb") as fh:
@@ -566,6 +568,11 @@ def load_model(path):
         theta = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after the last model column")
+    if sidecar.get("n_items") != n:
+        raise FormatError(f"{path}.json: n_items is {sidecar.get('n_items')!r}, "
+                          f"the model file holds {n}")
+    if sidecar.get("solver") not in SOLVERS:
+        raise FormatError(f"{path}.json: solver {sidecar.get('solver')!r} is not one of {SOLVERS}")
     return ItemModel(
         theta=theta,
         solver=sidecar["solver"],

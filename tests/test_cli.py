@@ -359,6 +359,79 @@ def test_main_evaluate_corrupt_split_is_a_data_error(planted_config, capsys, cap
     assert "stage 'load-split' failed" in caplog.text and message in caplog.text
 
 
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda m: m.update(seed="abc"), "seed must be an integer, got 'abc'",
+                 id="string-seed"),
+    pytest.param(lambda m: m.update(cold_item_ids=[]), "cold_item_ids is empty",
+                 id="no-cold-item"),
+    pytest.param(lambda m: m["cold_item_ids"].append("zzz"),
+                 "unknown cold item 'zzz' in cold_item_ids", id="unknown-cold-item"),
+    pytest.param(lambda m: m["cold_item_ids"].append(m["cold_item_ids"][0]),
+                 "repeated cold item 'i000", id="repeated-cold-item"),
+])
+def test_main_evaluate_bad_split_manifest_is_a_data_error(planted_config, capsys, caplog,
+                                                         edit, message):
+    path = planted_config()
+    assert main(["split", "--config", path]) == EXIT_OK
+    manifest = os.path.join(capsys.readouterr().out.strip(), "manifest.json")
+    with open(manifest, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert main(["evaluate", "--config", path]) == EXIT_DATA
+    assert "stage 'load-split' failed" in caplog.text
+    assert f"{manifest}: {message}" in caplog.text
+
+
+@pytest.mark.parametrize("cold,message", [
+    pytest.param(False, "test.csv: the test item {item!r} of user {user!r} is in that "
+                 "user's training history", id="test-pair-in-train"),
+    pytest.param(True, "train.csv: user {user!r} clicks the cold item {item!r}",
+                 id="click-on-a-cold-item"),
+])
+def test_main_evaluate_split_with_a_forbidden_training_click_is_a_data_error(
+        planted_config, capsys, caplog, cold, message):
+    # a test pair, warm or cold, appended to the training clicks
+    path = planted_config()
+    assert main(["split", "--config", path]) == EXIT_OK
+    splits = capsys.readouterr().out.strip()
+    with open(os.path.join(splits, "manifest.json"), encoding="utf-8") as fh:
+        cold_ids = set(json.load(fh)["cold_item_ids"])
+    with open(os.path.join(splits, "test.csv"), encoding="utf-8") as fh:
+        rows = [line.split(",")[:2] for line in fh.read().splitlines()[1:]]
+    user, item = next((u, i) for u, i in rows if (i in cold_ids) == cold)
+    _edit_lines(os.path.join(splits, "train.csv"), lambda lines: lines + [
+        ",".join([user, item, "1", "0"][: len(lines[0].split(","))])])
+    assert main(["evaluate", "--config", path]) == EXIT_DATA
+    assert "stage 'load-split' failed" in caplog.text
+    assert os.path.join(splits, message.format(user=user, item=item)) in caplog.text
+
+
+@pytest.mark.parametrize("target,edit,message", [
+    pytest.param("model.bin", lambda raw: raw[:-8] + struct.pack("<d", np.nan),
+                 "1 of 60 columns have non-finite weights (first: column 59)", id="nan-weight"),
+    pytest.param("model.bin.json", lambda raw: raw.replace(b'"n_items": 60', b'"n_items": 7'),
+                 "n_items is 7, the model file holds 60", id="other-item-count"),
+    pytest.param("model.bin.json",
+                 lambda raw: raw.replace(b'"solver": "ease"', b'"solver": "nonsense"'),
+                 "solver 'nonsense' is not one of", id="unknown-solver"),
+])
+def test_main_evaluate_inconsistent_model_is_a_data_error(planted_config, capsys, caplog,
+                                                          target, edit, message):
+    path = planted_config()
+    assert main(["fit", "--config", path]) == EXIT_OK
+    target = os.path.join(capsys.readouterr().out.strip(), target)
+    with open(target, "rb") as fh:
+        raw = fh.read()
+    assert edit(raw) != raw
+    with open(target, "wb") as fh:
+        fh.write(edit(raw))
+    assert main(["evaluate", "--config", path]) == EXIT_DATA
+    assert "stage 'load-model' failed" in caplog.text
+    assert f"{target}: {message}" in caplog.text
+
+
 def _write_metadata_csv(path, ids, matrix):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("item,value\n" + "".join(f"{item},t\n" for item in ids))

@@ -307,6 +307,71 @@ def test_block_prefix_equals_the_full_sort(case, depth, cells):
         assert rep.metric("ndcg", k).per_user.tolist() == ndcg_at_k(ref, k).per_user.tolist()
 
 
+@st.composite
+def ranker_cases(draw):
+    """Item weights theta with duplicated columns (exact ties) and inf/NaN
+    products on a small split, and some of its test scenarios: a cold
+    split's cold pool of no item (then no 'cold' scenario) up to all but
+    one, with cold and warm test pairs, or a warm split whose held-out item
+    sorts anywhere among its negatives."""
+    n_users, n_items = draw(st.integers(1, 9)), draw(st.integers(2, 12))
+    clicked = np.array(draw(st.lists(st.booleans(), min_size=n_users * n_items,
+                                     max_size=n_users * n_items))).reshape(n_users, n_items)
+    base = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, -1.0, 1 / 3, np.inf, -np.inf,
+                                                   np.nan]),
+                                  min_size=n_items * n_items, max_size=n_items * n_items)))
+    columns = draw(st.lists(st.integers(0, n_items - 1), min_size=n_items, max_size=n_items))
+    theta = base.reshape(n_items, n_items)[:, columns]
+    if draw(st.booleans()):
+        width = draw(st.integers(2, n_items))
+        pools = np.array([draw(st.permutations(range(n_items)))[:width] for _ in range(n_users)])
+        return theta, _split_over(clicked, heldout=pools[:, 0], negatives=pools[:, 1:]), \
+            ["leave_one_out"]
+    cold = draw(st.lists(st.integers(0, n_items - 1), max_size=n_items - 1, unique=True))
+    warm = sorted(set(range(n_items)) - set(cold))
+    user = st.integers(0, n_users - 1)
+    held = draw(st.lists(st.tuples(user, st.sampled_from(cold)), min_size=1, max_size=6)) \
+        if cold else []
+    held += draw(st.lists(st.tuples(user, st.sampled_from(warm)), min_size=1, max_size=6))
+    scenarios = draw(st.sets(st.sampled_from(["cold", "warm", "all"] if cold else ["warm", "all"]),
+                             min_size=1))
+    return theta, _split_over(clicked, sorted(cold), np.array(held)), \
+        [s for s in evaluation.SCENARIOS if s in scenarios]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ranker_cases(), depth=st.integers(1, 14), cells=st.sampled_from([1, 7, 2**18]),
+       pool_only=st.booleans())
+def test_one_ranker_ranks_every_pool_like_its_full_sort(case, depth, cells, pool_only):
+    """The one walk, on every item or on the pool items only, in blocks of
+    one row (many hold no user of a scenario), a few rows or all rows,
+    against each user's full ``rank_candidates`` sort of its pool; 'all',
+    merged from its cold and warm prefixes, against the direct sort of
+    every item. The scores are X @ theta, as validation forms them: the
+    walk masks the training positives itself."""
+    theta, split, scenarios = case
+    n = split.train.n_items
+    scores = np.asarray(split.train.X @ theta)
+    columns = None
+    if pool_only:
+        columns = evaluation._pool_items(np.concatenate([
+            pool.ravel() for s in scenarios
+            for pool, _ in evaluation._pools(split, s, "test").values()]), n)
+    with mock.patch.object(evaluation, "_SCORE_CELLS", cells):
+        got = evaluation.rank_scenarios(
+            lambda lo, hi: scores[lo:hi] if columns is None else scores[lo:hi][:, columns],
+            split, scenarios, depth, columns=columns)
+    assert list(got) == scenarios
+    for scenario in scenarios:
+        ref = _reference_lists(scores, split, scenario)
+        assert [rl.user for rl in got[scenario]] == [rl.user for rl in ref]
+        for g, r in zip(got[scenario], ref):
+            assert g.ranked.dtype == r.ranked.dtype
+            np.testing.assert_array_equal(g.ranked, r.ranked[:depth])
+            np.testing.assert_array_equal(g.relevant, r.relevant)
+            assert g.truncated == (depth < len(r.ranked))
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=scored_scenarios(), depth=st.sampled_from([1, 3, 40]))
 def test_array_hit_table_equals_one_isin_per_view(case, depth):
@@ -410,13 +475,14 @@ def test_evaluate_scenario_warns_once_per_call_not_per_metric(cold_split, caplog
                                                               monkeypatch):
     import alignrec.evaluation as evaluation
 
-    build = evaluation.build_ranked_lists
+    rank = evaluation.rank_scenarios
 
     def with_an_empty_user(*args, **kwargs):
-        return build(*args, **kwargs) + [
-            RankedList(user=3, ranked=np.array([4, 5]), relevant=np.array([], dtype=np.int64))]
+        return {s: list(lists) + [RankedList(user=3, ranked=np.array([4, 5]),
+                                             relevant=np.array([], dtype=np.int64))]
+                for s, lists in rank(*args, **kwargs).items()}
 
-    monkeypatch.setattr(evaluation, "build_ranked_lists", with_an_empty_user)
+    monkeypatch.setattr(evaluation, "rank_scenarios", with_an_empty_user)
     scores = np.random.default_rng(2).random((4, 6))
     with caplog.at_level(logging.WARNING):
         rep = evaluate_scenario(scores, cold_split, "cold", ks=(1, 2), with_ci=False)
@@ -443,6 +509,54 @@ def test_bootstrap_brackets_the_sample_mean():
     vals = rng.normal(0.5, 0.1, size=400)
     lo, hi = bootstrap_ci(vals, seed=3)
     assert lo < vals.mean() < hi
+
+
+def _one_draw_interval(values, resamples, fraction, seed):
+    """The interval from one draw of every resample at once, then one mean
+    per resample row: the bootstrap before it drew in chunks."""
+    m = math.ceil(fraction * len(values))
+    idx = np.random.default_rng(seed).integers(0, len(values), size=(resamples, m))
+    lo, hi = np.percentile(values[idx].mean(axis=1), [2.5, 97.5])
+    return float(lo), float(hi)
+
+
+@pytest.mark.parametrize("n,fraction", [(57, 0.2), (60, 0.2), (23, 1.0), (46, 0.5)])
+def test_chunked_bootstrap_draws_give_the_one_draw_intervals(n, fraction):
+    # m = 12, 12, 23 and 23: odd and even; values over many scales
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-8, 8, size=(3, n))
+    m = math.ceil(fraction * n)
+    want = [_one_draw_interval(v, 150, fraction, 11) for v in stack]
+    for rows in range(1, 101):
+        with mock.patch.object(evaluation, "_DRAW_CELLS", rows * m):
+            assert bootstrap_ci(stack, resamples=150, fraction=fraction, seed=11) == want
+            assert bootstrap_ci(stack[1], resamples=150, fraction=fraction, seed=11) == want[1]
+
+
+def test_bootstrap_scratch_memory_is_bounded_at_20000_users():
+    # one draw of all 500 resamples: 30.5 MiB of indices and gathered values
+    # for one row of 20000 users, once per metric and k
+    stack = np.random.default_rng(3).random((4, 20000))
+    tracemalloc.start()
+    try:
+        cis = bootstrap_ci(stack, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cis) == 4
+    assert peak < 2 * 2**20
+
+
+def test_evaluate_scenario_draws_the_bootstrap_once_per_report():
+    rng = np.random.default_rng(8)
+    split = _split_over(rng.random((40, 12)) < 0.3,
+                        held=np.column_stack((np.arange(40), rng.integers(0, 12, 40))))
+    scores = rng.random((40, 12))
+    with mock.patch.object(evaluation, "bootstrap_ci", wraps=evaluation.bootstrap_ci) as draw:
+        rep = evaluate_scenario(scores, split, "all", ks=(1, 5), resamples=50)
+    assert draw.call_count == 1
+    for m in rep.metrics:
+        assert m.ci == bootstrap_ci(m.per_user, resamples=50, seed=split.seed)
 
 
 def test_bootstrap_needs_five_users():
@@ -619,15 +733,6 @@ def test_pool_only_validation_scores_rank_like_full_width_predict(case):
     X = split.train.X
     scenario, use = evaluation.validation_scenario(split)
     full = predict(ItemModel(theta=T, solver="test"), X)
-    users, pools, _ = evaluation._pools(split, scenario, use)
-    items = np.unique(pools)
-    expected = build_ranked_lists(full, split, scenario, use=use, depth=10)
-    got = build_ranked_lists(np.asarray(X[users] @ T[:, items]), split, scenario, use=use,
-                             depth=10, items=items)
-    assert len(got) == len(expected)
-    for a, b in zip(got, expected):
-        assert a.user == b.user and a.truncated == b.truncated
-        assert np.array_equal(a.ranked, b.ranked) and np.array_equal(a.relevant, b.relevant)
     # the one scorer of selection against the full-width scores it replaced
     rep = evaluate_scenario(full, split, scenario, ks=(10,), use=use, with_ci=False)
     assert evaluation.validation_metrics(X, T, split) == {
