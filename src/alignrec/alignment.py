@@ -197,15 +197,13 @@ def popularity_regularizer(X, cfg):
 
     step_linear: d_j = (beta/p)(p - r_j) for r_j <= p, else 0, where p is
     the cfg.percentile-th percentile of click counts. exponential:
-    d_j = beta * 2^(-r_j / p) (half-life p). If p = 0, falls back to
-    d_j = beta on unclicked items only, with a warning.
+    d_j = beta * 2^(-r_j / p) (half-life p). The cold-start rule: p = 0
+    (at least that share of items unclicked, as under the cold protocol)
+    gives d_j = beta on unclicked items and 0 elsewhere, the p -> 0 limit
+    of both.
     """
     r, p = _click_percentile(X, cfg)
     if p == 0.0:
-        log.warning(
-            "popularity percentile %.4g is 0 (many unclicked items); "
-            "using d=beta on unclicked items only", cfg.percentile
-        )
         return np.where(r == 0, float(cfg.beta), 0.0)
     if cfg.decay == "step_linear":
         return np.where(r <= p, (cfg.beta / p) * (p - r), 0.0)

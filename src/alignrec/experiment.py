@@ -389,9 +389,13 @@ class _Pipeline:
             self.val_d = alignment.popularity_regularizer(self.val.train.X, self.acfg)
         self.popularity_fallback = any(alignment.popularity_falls_back(s.train.X, self.acfg)
                                        for s in (self.split_, self.val))
+        if self.popularity_fallback:
+            log.info("popularity percentile %.4g is 0: d = beta on unclicked items only",
+                     self.acfg.percentile)
         grid = self.cfg["alignment"]["mu_grid"]
         self.mu = alignment.fit_mix_coefficients(self.sims, self.val.train.X, self.val, grid)
         self.G = alignment.mix_similarities(self.sims, self.mu)
+        del self.sims  # the per-attribute n x n blocks: nothing after the mix reads them
 
     def grid_search(self):
         # the module-level grid_search; its model is None under the warm protocol.

@@ -19,17 +19,18 @@ Two backbones share the aligned-system structure:
   when K itself is singular.
 
 Both start from S = X^T (X + B), with X^T B taken from the Gram; an
-alignment matrix B acts when it is given with alpha != 0. A FitContext of
-the training matrix holds one Gram per route and, per B, X^T B on its
-decay columns D only: X^T B = alpha X^T X G diag(d) is zero where the decay
-weight d is. Items with an empty training column are eliminated exactly
-on the block route (see FitContext). X^T B is non-symmetric, but off D the
-shared matrix is X^T X (times w1 >= 0 under MSLIM) plus lambda1 I, which
-with lambda1 > 0 is symmetric positive definite: its inverse takes a
-Cholesky on that core and an LU only on the |D| x |D| Schur complement
-(linalg.invert). EASE with lambda0 FF^T, which couples every item, and
-MSLIM with lambda1 = 0 invert by LU alone. A fit whose weights are not all
-finite raises SolverError.
+alignment matrix B acts when it is given with alpha != 0. Every fit
+solves on a partition of the items into W and the empty training columns
+C it eliminates exactly (see FitContext); the general route is the
+partition with C empty. A FitContext of the training matrix holds one
+Gram per partition and, per B, X^T B on its decay columns D only: X^T B =
+alpha X^T X G diag(d) is zero where the decay weight d is. X^T B is
+non-symmetric, but off D the shared matrix is X^T X (times w1 >= 0 under
+MSLIM) plus lambda1 I, which with lambda1 > 0 is symmetric positive
+definite: its inverse takes a Cholesky on that core and an LU only on the
+|D| x |D| Schur complement (linalg.invert). EASE with lambda0 FF^T, which
+couples every item, and MSLIM with lambda1 = 0 invert by LU alone. A fit
+whose weights are not all finite raises SolverError.
 """
 
 from __future__ import annotations
@@ -120,22 +121,46 @@ def _check_finite(theta):
 
 @dataclass(frozen=True)
 class _System:
-    """S = X^T (X + B) over a fit's items (the warm ones on the block route,
-    all on the general route) as the Gram plus X^T B, which is zero off the
-    decay columns, the items whose decay weight d is nonzero."""
+    """S = X^T (X + B) over a fit's items W, beside the empty columns C it
+    eliminates (none on the general route), as the Gram plus X^T B, which is
+    zero off the decay columns, the items whose decay weight d is nonzero."""
 
-    gram: np.ndarray       # X^T X over the items; shared by every fit, so never changed in place
-    decay: np.ndarray      # boolean mask over the items: the decay columns D
+    items: np.ndarray      # W
+    cold: np.ndarray       # C
+    X: sp.csr_matrix       # X's W columns
+    gram: np.ndarray       # X^T X over W; shared by every fit, so never changed in place
+    decay: np.ndarray      # boolean mask over W: the decay columns D
     xtb: np.ndarray | None  # X^T B on D; None when B does not act
-    wc: np.ndarray | None  # block route: S_WC on the distinct cold columns; None when B does not act
-    cold_index: np.ndarray | None  # each cold item's column of wc
+    wc: np.ndarray | None  # S_WC on the distinct columns of C; None when B does not act
+    cold_index: np.ndarray | None  # each item of C's column of wc
 
-    def s(self):
-        """A fresh copy of S over the items."""
+    def shared(self, scale, lambda1):
+        """A fresh scale S + lambda1 I over W."""
         s = self.gram.copy()
         if self.decay.any():
             s[:, self.decay] += self.xtb
+        s *= scale
+        s.flat[::len(s) + 1] += lambda1
         return s
+
+    def restrict(self, a):
+        """The W x W block of an items x items ``a``; ``a`` itself when C is empty."""
+        return a[np.ix_(self.items, self.items)] if len(self.cold) else a
+
+    def theta(self, theta_w, p, scale, k=None):
+        """The n x n theta: ``theta_w`` on W x W, a column of C as k^-1 (scale
+        S_WC), by p = k^-1 or, if p is None, by LU (SingularMatrixError if k
+        is singular), and zero elsewhere; ``theta_w`` itself if C is empty."""
+        if not len(self.cold):
+            return theta_w
+        n = len(self.items) + len(self.cold)
+        theta = np.zeros((n, n))
+        theta[np.ix_(self.items, self.items)] = theta_w
+        if self.wc is not None:
+            rhs = scale * self.wc
+            cold = p @ rhs if p is not None else solve_general(k, rhs)
+            theta[np.ix_(self.items, self.cold)] = cold[:, self.cold_index]
+        return theta
 
 
 class FitContext:
@@ -144,20 +169,19 @@ class FitContext:
     Items with an empty training column (C, the cold items under the cold
     protocol) have zero rows in X^T X and X^T B, so with W the other items
     the aligned systems are block upper-triangular with a lambda1 I corner.
-    fit_ease (unless lambda0 > 0 with F) and fit_mslim (lambda1 > 0) then
-    take the block route and eliminate C exactly: the C rows of theta are
+    A fit that may eliminate C (fit_ease unless lambda0 > 0 with F,
+    fit_mslim with lambda1 > 0) does so exactly: the C rows of theta are
     zero, theta_WW is the solver on the warm block, and a cold column is the
     warm block's inverse times its column of S_WC (scaled by w1 under
     MSLIM). Cold items whose warm rows of G and decay weights are equal byte
     for byte share one solved column, copied to each, so their scores tie
-    exactly. A matrix with no empty column, or only empty ones, and the fits
-    excepted above, take the general route over all items.
+    exactly. The other fits, and any fit on a matrix with no empty column or
+    only empty ones (``block`` False), take the general route: C is empty.
 
-    The context holds the W/C partition and, built on first use, one Gram
-    per route and, per route and alignment matrix B (its G object, alpha and
-    d), a _System: X^T B on the decay columns and, on the block route, the
-    distinct columns of S_WC, from one B.xtb call. It is safe to share
-    between threads; drop it when its fits are done.
+    The context holds, built on first use, one Gram per partition and, per
+    partition and alignment matrix B (its G object, alpha and d), a
+    _System: X^T B on the decay columns and the distinct columns of S_WC,
+    from one B.xtb call. It is safe to share between threads.
     """
 
     def __init__(self, X):
@@ -166,41 +190,39 @@ class FitContext:
         clicked = np.bincount(self.X.indices, minlength=n) > 0
         self.warm, self.cold = np.flatnonzero(clicked), np.flatnonzero(~clicked)
         self.block = 0 < len(self.cold) < n
-        self.X_warm = None
-        self._grams, self._systems = {}, {}
+        self._parts, self._systems = {}, {}
         self._lock = threading.Lock()
 
-    def system(self, B, block):
-        """The _System of alignment B (None or alpha = 0: no alignment) on
-        the block route if ``block``, else on the general route."""
+    def system(self, B, eliminate):
+        """The _System of alignment B (None or alpha = 0: no alignment) that
+        eliminates C if ``eliminate`` and ``block``, else eliminates nothing."""
+        eliminate = eliminate and self.block
         aligned = B is not None and B.alpha != 0.0
-        key = (block, id(B.G), B.alpha, B.d.tobytes()) if aligned else (block,)
+        key = (eliminate, id(B.G), B.alpha, B.d.tobytes()) if aligned else (eliminate,)
         with self._lock:
-            if block not in self._grams:
-                if block:
-                    self.X_warm = self.X[:, self.warm]
-                self._grams[block] = gram(self.X_warm if block else self.X)
+            if eliminate not in self._parts:
+                W, C = ((self.warm, self.cold) if eliminate else
+                        (np.arange(self.X.shape[1]), self.cold[:0]))
+                X = self.X[:, W] if eliminate else self.X
+                self._parts[eliminate] = (W, C, X, gram(X))
             if key not in self._systems:
                 # the entry keeps B.G alive, so no other G can take its id
                 self._systems[key] = (B.G if aligned else None,
-                                      self._system(B if aligned else None, block))
+                                      self._system(B if aligned else None, eliminate))
             return self._systems[key][1]
 
-    def _system(self, B, block):
-        a = self._grams[block]
+    def _system(self, B, eliminate):
+        W, C, X, a = self._parts[eliminate]
         if B is None:
-            return _System(a, np.zeros(len(a), dtype=bool), None, None, None)
-        if not block:
-            decay = B.d != 0.0
-            return _System(a, decay, B.xtb(a, cols=np.flatnonzero(decay)), None, None)
-        W, C = self.warm, self.cold
+            return _System(W, C, X, a, np.zeros(len(W), dtype=bool), None, None, None)
         keys = np.ascontiguousarray(np.vstack([B.G[np.ix_(W, C)], B.d[None, C]]).T)
         _, first, index = np.unique(keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel(),
                                     return_index=True, return_inverse=True)
         decay = B.d[W] != 0.0
-        xtb = B.xtb(a, rows=W, cols=np.concatenate([W[decay], C[first]]))
+        xtb = B.xtb(a, rows=W if len(C) else None, cols=np.concatenate([W[decay], C[first]]))
         k = int(decay.sum())
-        return _System(a, decay, xtb[:, :k], np.ascontiguousarray(xtb[:, k:]), index.ravel())
+        return _System(W, C, X, a, decay, xtb[:, :k], np.ascontiguousarray(xtb[:, k:]),
+                       index.ravel())
 
 
 def _context(X, context):
@@ -227,31 +249,18 @@ def _fitted(theta, solver, cfg, aligned, X, t0, **diagnostics):
 
 
 def _route_facts(ctx, system, core, rcond):
-    """How a fit solved, for its sidecar: the route (``system`` is None on the
-    general one), the factorization of its shared inverse by its Cholesky
-    core ``core`` (a mask, or a bool for all or none), that inverse's
-    smallest rcond (None if it failed) to 3 significant digits, since the
-    estimators' last bits follow the memory alignment of the factor, and
-    the cold columns solved (on the block route each distinct one once,
-    none without alignment)."""
-    solved = (len(ctx.cold) if system is None else
-              0 if system.wc is None else system.wc.shape[1])
+    """How a fit solved, for its sidecar: the route (general when ``system``
+    eliminates nothing), the factorization of its shared inverse by its
+    Cholesky core ``core`` (a mask, or a bool for all or none), that
+    inverse's smallest rcond (None if it failed) to 3 significant digits,
+    since the estimators' last bits follow the memory alignment of the
+    factor, and the empty columns solved (each distinct eliminated one once)."""
+    distinct = 0 if system.wc is None else system.wc.shape[1]
     factorization = "cholesky" if np.all(core) else "cholesky+lu" if np.any(core) else "lu"
-    return {"route": "general" if system is None else "block",
+    return {"route": "block" if len(system.cold) else "general",
             "factorization": factorization,
             "rcond_min": None if rcond is None else float(f"{rcond:.3g}"),
-            "cold_columns_solved": solved}
-
-
-def _block_theta(ctx, theta_ww, theta_wc, system):
-    """The n x n theta with theta_WW and the cold columns (theta_wc holds one
-    per distinct cold column of ``system``) in place, zero elsewhere."""
-    n = ctx.X.shape[1]
-    theta = np.zeros((n, n))
-    theta[np.ix_(ctx.warm, ctx.warm)] = theta_ww
-    if theta_wc is not None:
-        theta[np.ix_(ctx.warm, ctx.cold)] = theta_wc[:, system.cold_index]
-    return theta
+            "cold_columns_solved": len(ctx.cold) - len(system.cold) + distinct}
 
 
 def _ease_weights(p, lambda1, items):
@@ -277,20 +286,18 @@ def fit_ease(X, cfg, F=None, B=None, context=None):
     diagonal correction theta = theta_tilde - P diag(theta_tilde)/diag(P)
     so self-similarities vanish. With B absent (or alpha = 0) and
     lambda0 = 0 this is the textbook EASE estimator. ``context`` is a
-    FitContext of X to share between fits; without lambda0 FF^T its block
-    route inverts only the warm block M_WW, and theta_WC = M_WW^-1 S_WC.
-    Without lambda0 FF^T, M's core on the items without decay weight is
-    X^T X + lambda1 I, symmetric positive definite, and is inverted by
-    Cholesky; the decay columns go through its Schur complement by LU.
+    FitContext of X to share between fits. Without lambda0 FF^T the fit
+    eliminates the empty columns C (theta_WC = M_WW^-1 S_WC), and M's core
+    on the items without decay weight, X^T X + lambda1 I, is symmetric
+    positive definite and inverted by Cholesky; the decay columns go through
+    its Schur complement by LU.
     """
     t0 = time.perf_counter()
     ctx = _context(X, context)
     aligned = B is not None and B.alpha != 0.0
     feature = cfg.lambda0 > 0 and F is not None  # F F^T couples every item: general LU
-    block = ctx.block and not feature
-    system = ctx.system(B, block)
-    m = system.s()
-    m.flat[::len(m) + 1] += cfg.lambda1
+    system = ctx.system(B, not feature)
+    m = system.shared(1.0, cfg.lambda1)
     if feature:
         m += cfg.lambda0 * _feature_item_gram(F)
     core = False if feature else ~system.decay
@@ -301,14 +308,12 @@ def fit_ease(X, cfg, F=None, B=None, context=None):
             f"aligned system is singular ({e}); increase lambda1"
         ) from e
     del m
-    theta = _ease_weights(p, cfg.lambda1, ctx.warm if block else np.arange(len(p)))
-    if block:
-        theta = _block_theta(ctx, theta, None if system.wc is None else p @ system.wc, system)
+    theta = system.theta(_ease_weights(p, cfg.lambda1, system.items), p, 1.0)
     _check_finite(theta)
     diag_residual = float(np.abs(np.diag(theta)).max())
     np.fill_diagonal(theta, 0.0)
     return _fitted(theta, "ease", cfg, aligned, ctx.X, t0, diag_residual_max=diag_residual,
-                   **_route_facts(ctx, system if block else None, core, rcond))
+                   **_route_facts(ctx, system, core, rcond))
 
 
 _ROUTES = ("rank_one", "woodbury", "direct")  # diagnostics count the columns of each
@@ -426,25 +431,21 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
     one, so workers never change the result.
 
     ``context`` is a FitContext of X to share between fits. With lambda1 > 0
-    its block route fits the warm columns on the warm block alone and sets
-    a cold column to K_WW^-1 K_WC (counted as a closed form), whatever gamma1
-    is; with lambda1 = 0 and an empty column, K is singular and the general
-    route names the singular columns.
+    it eliminates the empty columns C, fitting the warm columns on the warm
+    block alone, and sets a cold column to K_WW^-1 K_WC (counted as a closed
+    form), whatever gamma1 is; with lambda1 = 0 and an empty column, K is
+    singular and the general route names the singular columns.
     """
     t0 = time.perf_counter()
     ctx = _context(X, context)
     aligned = B is not None and B.alpha != 0.0
-    block = ctx.block and cfg.lambda1 > 0
-    system = ctx.system(B, block)
-    Xcsr, items = (ctx.X_warm, ctx.warm) if block else (ctx.X, np.arange(ctx.X.shape[1]))
-    k = system.s()
-    k *= cfg.w1
+    system = ctx.system(B, cfg.lambda1 > 0)
+    Xcsr, k = system.X, system.shared(cfg.w1, cfg.lambda1)
+    n = len(k)
     m = None  # V_i = X_i M; M = I + H only when an item of K has a decay weight
     if system.decay.any():
-        m = np.eye(len(k)) + (B.item_map()[np.ix_(items, items)] if block else B.item_map())
+        m = np.eye(n) + system.restrict(B.item_map())
     Xcsc = Xcsr.tocsc()
-    n = len(k)
-    k.flat[::n + 1] += cfg.lambda1
     core = ~system.decay if cfg.lambda1 > 0 else False  # w1 X^T X + lambda1 I is SPD
     try:
         p, rcond = invert(k, spd=core, return_rcond=True)
@@ -471,22 +472,17 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
             del y
     _run(lambda i: _direct_column(i, k, m, Xcsr, Xcsc, cfg, theta, failures),
          np.flatnonzero(route == 2).tolist(), workers)
-    failures = [(int(items[i]), e) for i, e in failures]
-    if block:
-        cold = None
-        if system.wc is not None:
-            k_wc = cfg.w1 * system.wc
-            try:
-                cold = p @ k_wc if p is not None else solve_general(k, k_wc)
-            except SingularMatrixError as e:
-                failures += [(int(c), str(e)) for c in ctx.cold]
-        theta = _block_theta(ctx, theta, cold, system)
-        route = np.concatenate([route, np.zeros(len(ctx.cold), dtype=np.int8)])
+    failures = [(int(system.items[i]), e) for i, e in failures]
+    try:
+        theta = system.theta(theta, p, cfg.w1, k)
+    except SingularMatrixError as e:
+        failures += [(int(c), str(e)) for c in system.cold]
+    route = np.concatenate([route, np.zeros(len(system.cold), dtype=np.int8)])
     if failures:
         failures.sort(key=lambda t: t[0])
         cols = [i for i, _ in failures]
         raise SolverError(
-            f"{len(failures)} of {len(theta)} column systems are singular "
+            f"{len(failures)} of {ctx.X.shape[1]} column systems are singular "
             f"(first: column {cols[0]}: {failures[0][1]}); "
             f"increase lambda1 or gamma1",
             columns=cols,
@@ -495,7 +491,7 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
     routes = dict(zip(_ROUTES, np.bincount(route, minlength=3).tolist()))
     return _fitted(theta, "mslim", cfg, aligned, ctx.X, t0, columns_by_route=routes,
                    diag_residual_max=float(np.abs(np.diag(theta)).max()),
-                   **_route_facts(ctx, system if block else None, core, rcond))
+                   **_route_facts(ctx, system, core, rcond))
 
 
 def itemknn_scores(X_user_rows, G):

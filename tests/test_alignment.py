@@ -1,7 +1,5 @@
 """Similarity smoothing, coefficient mixing, and the alignment matrix."""
 
-import logging
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -194,13 +192,11 @@ def test_popularity_is_monotone_nonincreasing_in_count():
         assert np.all(np.diff(d[order]) <= 1e-12)
 
 
-def test_popularity_zero_percentile_falls_back_to_unclicked_boost(caplog):
+def test_popularity_zero_percentile_falls_back_to_unclicked_boost():
     X = _counts_matrix([0, 0, 0, 9])
     cfg = AlignmentConfig(beta=3.0, percentile=10.0)
-    with caplog.at_level(logging.WARNING):
-        d = popularity_regularizer(X, cfg)
+    d = popularity_regularizer(X, cfg)
     np.testing.assert_allclose(d, [3.0, 3.0, 3.0, 0.0])
-    assert "unclicked" in caplog.text
 
 
 def test_alignment_config_validates_fields():

@@ -766,6 +766,15 @@ def test_cold_run_records_its_route_and_branch_facts(planted_config):
     assert len({theta[:, c].tobytes() for c in cold}) <= facts["cold_columns_solved"]
 
 
+def test_cold_run_logs_the_decay_rule_once(planted_config, caplog):
+    # a fifth of the items have no training click, so the 10th percentile is 0
+    with caplog.at_level(logging.INFO, logger="alignrec"):
+        manifest, _ = _run_facts(run_experiment(planted_config()))
+    rules = [r for r in caplog.records if "unclicked" in r.getMessage()]
+    assert [r.levelno for r in rules] == [logging.INFO]
+    assert manifest["popularity_fallback"] is True
+
+
 def test_warm_run_records_the_general_route_and_no_fallback(planted_config):
     manifest, facts = _run_facts(run_experiment(planted_config(protocol="warm", negatives=20)))
     assert manifest["grid_failed"] == 0

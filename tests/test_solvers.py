@@ -337,17 +337,14 @@ def reference_mslim_columns(X, cfg, B=None):
     X_i, forms X_i Q from the whole inverse and solves its capacitance, a
     local ``cap``, through ``solvers.solve_general`` as looked up at call time.
     """
-    ctx = solvers.FitContext(X)
-    block = ctx.block and cfg.lambda1 > 0
-    system = ctx.system(B, block)
-    Xcsr, items = (ctx.X_warm, ctx.warm) if block else (ctx.X, np.arange(X.shape[1]))
-    k = system.s() * cfg.w1
+    system = solvers.FitContext(X).system(B, cfg.lambda1 > 0)
+    Xcsr, items = system.X, system.items
+    k = system.shared(cfg.w1, cfg.lambda1)
     n = len(k)
     h = None
     if system.decay.any():
-        h = B.item_map()[np.ix_(items, items)] if block else B.item_map()
+        h = system.restrict(B.item_map())
     Xcsc = Xcsr.tocsc()
-    k.flat[::n + 1] += cfg.lambda1
     m = np.eye(n) + (0.0 if h is None else h)
     try:
         p = invert(k, spd=~system.decay if cfg.lambda1 > 0 else False)
@@ -393,16 +390,11 @@ def reference_mslim_columns(X, cfg, B=None):
             theta[:, i] = solvers.solve_general(a, rhs)
         except SingularMatrixError:
             failures.append(int(items[i]))
-    if block:
-        cold = None
-        if system.wc is not None:
-            k_wc = cfg.w1 * system.wc
-            try:
-                cold = p @ k_wc if p is not None else solvers.solve_general(k, k_wc)
-            except SingularMatrixError:
-                failures += ctx.cold.tolist()
-        theta = solvers._block_theta(ctx, theta, cold, system)
-        route = np.concatenate([route, np.zeros(len(ctx.cold), dtype=np.int8)])
+    try:
+        theta = system.theta(theta, p, cfg.w1, k)
+    except SingularMatrixError:
+        failures += system.cold.tolist()
+    route = np.concatenate([route, np.zeros(len(system.cold), dtype=np.int8)])
     if failures:
         return None, sorted(failures)
     return theta, dict(zip(("rank_one", "woodbury", "direct"),
@@ -487,6 +479,70 @@ def test_mslim_scratch_memory_is_bounded():
     bound = (8 * n_users * n_items + 4 * 8 * solvers._GROUP_CELLS
              + 3 * 12 * X.nnz + 8 * 8 * n_items**2)
     assert peak < bound
+
+
+def _phase_peaks(fn):
+    """fn()'s tracemalloc peak, and the largest peak inside one call of
+    ``FitContext.system`` (where a _System is built) and of ``_System.theta``
+    (where theta is placed), in bytes above the memory traced at each entry."""
+    peaks, overall = {}, [0]
+
+    def wrap(name, inner):
+        def traced(*args, **kwargs):
+            before, peak = tracemalloc.get_traced_memory()
+            overall[0] = max(overall[0], peak)
+            tracemalloc.reset_peak()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                overall[0] = max(overall[0], peak)
+                peaks[name] = max(peaks.get(name, 0), peak - before)
+        return traced
+
+    with mock.patch.object(solvers.FitContext, "system", wrap("system", solvers.FitContext.system)), \
+            mock.patch.object(solvers._System, "theta", wrap("theta", solvers._System.theta)):
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            fn()
+            overall[0] = max(overall[0], tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return overall[0] - base, peaks
+
+
+@pytest.mark.parametrize("case, fit_peak, system_peak", [
+    ("ease", 4.66, 0.298), ("mslim", 10.49, 0.298), ("ease-feature", 5.214, 0.614)])
+def test_general_route_gathers_and_re_embeds_nothing(case, fit_peak, system_peak):
+    # fit_peak and system_peak are the parent commit's tracemalloc peaks, in
+    # n^2 float64s, of an aligned fit whose context already holds the Gram
+    # (from an unaligned fit), and of the _System build inside it. The
+    # general route must gather no G[W] over all items (n^2 more in the
+    # build) and must return theta as solved (n^2 more in the placement).
+    n = 200
+    rng = np.random.default_rng(0)
+    x = (rng.random((600, n)) < 0.1).astype(np.float64)
+    x[rng.integers(0, 600, n), np.arange(n)] = 1.0
+    if case == "ease-feature":
+        x[:, :40] = 0.0  # empty columns, kept by the feature term
+    X = sp.csr_matrix(x)
+    raw = rng.random((n, n))
+    B = align(X, 0.5 * (raw + raw.T), AlignmentConfig(alpha=0.5, beta=2.0, percentile=10.0))
+    F = sp.random(n, 30, density=0.2, random_state=1, format="csr")
+    fit = {"ease": lambda b, ctx: fit_ease(X, EaseConfig(lambda1=10.0), B=b, context=ctx),
+           "mslim": lambda b, ctx: fit_mslim(X, MslimConfig(w1=0.5, lambda1=5.0, gamma1=10.0),
+                                             B=b, context=ctx),
+           "ease-feature": lambda b, ctx: fit_ease(X, EaseConfig(lambda0=1.0, lambda1=10.0),
+                                                   F=F, B=b, context=ctx)}[case]
+    ctx = solvers.FitContext(X)
+    fit(None, ctx)
+    peak, phases = _phase_peaks(lambda: fit(B, ctx))
+    assert fit(B, ctx).diagnostics["route"] == "general"
+    unit, slack = 8 * n * n, 0.05
+    assert peak < (fit_peak + slack) * unit
+    assert phases["system"] < (system_peak + slack) * unit
+    assert phases["theta"] < slack * unit
 
 
 def _direct_singular_columns(X, cfg, Bd=None):
