@@ -105,26 +105,15 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        if args.verb == "split":
-            out = experiment.run_split(args.config, seed=args.seed, output=args.output)
-            print(out)
-        elif args.verb == "featurize":
-            out = experiment.run_featurize(args.config, output=args.output)
-            print(out)
-        elif args.verb == "fit":
-            out = experiment.run_fit(args.config, seed=args.seed,
-                                     workers=args.workers, output=args.output)
-            print(out)
-        elif args.verb == "evaluate":
-            paths = experiment.run_evaluate(args.config, output=args.output)
-            for p in paths.values():
-                print(p)
-        elif args.verb == "run":
-            out = experiment.run_experiment(args.config, seed=args.seed,
-                                            workers=args.workers, output=args.output)
-            print(out)
-        elif args.verb == "report":
+        if args.verb == "report":
             print(experiment.compare_reports(args.reports), end="")
+            return EXIT_OK
+        flags = {k: v for k, v in vars(args).items() if k not in ("verb", "config")}
+        # `run` enters through run_experiment, the library's end-to-end entry
+        out = (experiment.run_experiment(args.config, **flags) if args.verb == "run"
+               else experiment.run_verb(args.verb, args.config, **flags))
+        for path in out.values() if isinstance(out, dict) else [out]:
+            print(path)
     except Exception as e:
         code = exit_code_for(e)
         log.error("%s", e)

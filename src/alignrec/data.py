@@ -12,6 +12,7 @@ Both are pure functions of (dataset, seed) and reproduce byte-identically.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import io
@@ -467,10 +468,12 @@ def _read_pairs_csv(path, umap, imap):
 
     ``umap``/``imap`` map ids to rows and columns. A header other than
     user,item[,value][,timestamp] (an empty file included), a row of the
-    wrong width, an unknown id, a repeated (user, item) pair or a bad
-    timestamp raises FormatError naming the line.
+    wrong width, an unknown id or a bad timestamp raises FormatError naming
+    the line; so does, once every row has been read, the first row that
+    repeats an earlier (user, item) pair. Each row is kept as three int64s
+    (user, item, line), so no Python object lives per row.
     """
-    users, items, stamps, seen = [], [], [], set()
+    rows, stamps = array.array("q"), array.array("q")
     with open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -488,27 +491,32 @@ def _read_pairs_csv(path, umap, imap):
             u, it = umap.get(row[0]), imap.get(row[1])
             if u is None or it is None:
                 raise FormatError(f"{path}:{lineno}: unknown user or item in {row[:2]}")
-            if (u, it) in seen:
-                raise FormatError(f"{path}:{lineno}: repeated pair {row[:2]}")
-            seen.add((u, it))
-            users.append(u)
-            items.append(it)
+            rows.append(u)
+            rows.append(it)
+            rows.append(lineno)
             if has_ts:
                 try:
                     stamps.append(_timestamp(row[-1]))
                 except ValueError:
                     raise FormatError(f"{path}:{lineno}: bad timestamp {row[-1]!r}") from None
-    pairs = np.column_stack([np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)])
-    return pairs, np.array(stamps, dtype=np.int64) if has_ts else None
+    rows = np.frombuffer(rows, dtype=np.int64).reshape(-1, 3)
+    key = rows[:, 0] * len(imap) + rows[:, 1]
+    order = np.argsort(key, kind="stable")  # equal keys stay in file order
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if len(repeats):
+        u, it, lineno = rows[repeats.min()]
+        raise FormatError(f"{path}:{lineno}: repeated pair {[list(umap)[u], list(imap)[it]]}")
+    return rows[:, :2].copy(), np.frombuffer(stamps, dtype=np.int64) if has_ts else None
 
 
 def load_split(dirpath):
     """Load a persisted split directory; returns ColdSplit or WarmSplit.
 
     A seed that is not an integer, a cold item list that is empty or holds
-    an unknown or repeated id, a training click on a cold item, and a
-    held-out pair or negative that lies in that user's training history
-    raise FormatError naming the file and the offending id or user.
+    an unknown or repeated id, a training click on a cold item, a held-out
+    pair or negative that lies in that user's training history, and a
+    negative that is the user's held-out item raise FormatError naming the
+    file and the offending id or user.
     """
     path = os.path.join(dirpath, "manifest.json")
     manifest = read_json(path)
@@ -556,6 +564,14 @@ def load_split(dirpath):
         negs, _ = read("negatives")
         if np.any(np.bincount(negs[:, 0], minlength=len(user_ids)) != n_neg):
             raise FormatError(f"{dirpath}: negatives file must hold {n_neg} rows per user")
+        heldout = np.empty(len(user_ids), dtype=np.int64)
+        heldout[test[:, 0]] = test[:, 1]
+        # a negative equal to the held-out item would be ranked, and hit, twice
+        clash = np.flatnonzero(negs[:, 1] == heldout[negs[:, 0]])
+        if len(clash):
+            u, it = negs[clash[0]]
+            raise FormatError(f"{file('negatives')}: the negative item {item_ids[it]!r} of "
+                              f"user {user_ids[u]!r} is that user's held-out test item")
         held = (("test", test), ("negatives", negs))
     # evaluation would mask a ranked item inside the user's training history
     # as a training positive, silently
@@ -578,8 +594,6 @@ def load_split(dirpath):
             cold_item_ids=cold_ids,
             seed=manifest["seed"],
         )
-    heldout = np.empty(len(user_ids), dtype=np.int64)
-    heldout[test[:, 0]] = test[:, 1]
     by_user = np.argsort(negs[:, 0], kind="stable")
     return WarmSplit(
         train=train,

@@ -301,7 +301,9 @@ VERB_STAGES = {
     "evaluate": ("load-split", "load-model", "evaluate", "persist-reports"),
     "run": _FIT_STAGES + ("evaluate", "persist-reports", "persist-manifest"),
 }
-_REFIT_VERBS = ("fit", "run")
+# verb -> the _Pipeline attribute run_verb returns: where the verb wrote
+_VERB_RESULT = {"split": "split_dir", "featurize": "feature_dir", "fit": "output",
+                "evaluate": "report_paths", "run": "output"}
 
 
 class _Pipeline:
@@ -529,49 +531,29 @@ def _require_inputs(cfg, stages):
             raise ConfigError(f"{what} not found: {path}")
 
 
-def _run(verb, config_path, seed=None, workers=None, output=None):
-    """Run the stages of ``verb`` in order; returns the pipeline.
+def run_verb(verb, config_path, seed=None, workers=None, output=None):
+    """Run the stages of ``verb`` (``VERB_STAGES[verb]``) in order.
 
-    The verbs that refit hold an INCOMPLETE marker in the output directory
-    from before their first stage until after their last, so a failed run
-    leaves it behind.
+    Returns what the verb wrote: the split directory (split), the feature
+    directory (featurize), each scenario's report JSON path by scenario
+    (evaluate), or the output directory (fit, run). A verb whose stages
+    refit holds an INCOMPLETE marker in the output directory from before
+    its first stage until after its last, so a failed run leaves it behind.
     """
+    stages = VERB_STAGES[verb]
     pipe = _Pipeline(load_config(config_path), seed=seed, workers=workers, output=output)
-    _require_inputs(pipe.cfg, VERB_STAGES[verb])
+    _require_inputs(pipe.cfg, stages)
     marker = os.path.join(pipe.output, "INCOMPLETE")
-    if verb in _REFIT_VERBS:
+    if "refit" in stages:
         log.info("grid-search workers: %d", pipe.workers)
         os.makedirs(pipe.output, exist_ok=True)
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write("run in progress or failed; outputs may be partial\n")
-    for name in VERB_STAGES[verb]:
+    for name in stages:
         pipe._stage(name)
-    if verb in _REFIT_VERBS:
+    if "refit" in stages:
         os.remove(marker)
-    return pipe
-
-
-def run_split(config_path, seed=None, output=None):
-    """`split` verb: build and persist the split only; returns its directory."""
-    return _run("split", config_path, seed=seed, output=output).split_dir
-
-
-def run_featurize(config_path, output=None):
-    """`featurize` verb: encode every attribute and persist the blocks."""
-    return _run("featurize", config_path, output=output).feature_dir
-
-
-def run_fit(config_path, seed=None, workers=None, output=None):
-    """`fit` verb: split, featurize, tune, refit; no test evaluation."""
-    return _run("fit", config_path, seed=seed, workers=workers, output=output).output
-
-
-def run_evaluate(config_path, output=None):
-    """`evaluate` verb: score a persisted model on the persisted split.
-
-    Returns the report JSON path of each scenario.
-    """
-    return _run("evaluate", config_path, output=output).report_paths
+    return getattr(pipe, _VERB_RESULT[verb])
 
 
 def run_experiment(config_path, seed=None, workers=None, output=None):
@@ -581,7 +563,7 @@ def run_experiment(config_path, seed=None, workers=None, output=None):
     and manifest.json. An INCOMPLETE marker exists while the run is in
     flight or after a failure.
     """
-    return _run("run", config_path, seed=seed, workers=workers, output=output).output
+    return run_verb("run", config_path, seed=seed, workers=workers, output=output)
 
 
 def compare_reports(paths):

@@ -433,11 +433,21 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
     ``context`` is a FitContext of X to share between fits. With lambda1 > 0
     it eliminates the empty columns C, fitting the warm columns on the warm
     block alone, and sets a cold column to K_WW^-1 K_WC (counted as a closed
-    form), whatever gamma1 is; with lambda1 = 0 and an empty column, K is
-    singular and the general route names the singular columns.
+    form), whatever gamma1 is. With lambda1 = 0 and one empty column, K is
+    singular and the general route names the singular columns; with two or
+    more, every S_i has the zero row of an empty column c != i, so the fit
+    raises naming all n columns before it factors anything.
     """
     t0 = time.perf_counter()
     ctx = _context(X, context)
+    if cfg.lambda1 == 0.0 and len(ctx.cold) >= 2:
+        cols = list(range(ctx.X.shape[1]))
+        raise SolverError(
+            f"{len(cols)} of {len(cols)} column systems are singular (lambda1 = 0 and "
+            f"{len(ctx.cold)} empty training columns, each a zero row of every other "
+            f"column's system); increase lambda1 or gamma1",
+            columns=cols,
+        )
     aligned = B is not None and B.alpha != 0.0
     system = ctx.system(B, cfg.lambda1 > 0)
     Xcsr, k = system.X, system.shared(cfg.w1, cfg.lambda1)

@@ -68,6 +68,9 @@ def test_traced_sample_reports_every_per_layer_metric(tmp_path, name):
     assert out["absent"] == []
     rec = json.loads(spans.read_text(encoding="utf-8"))
     assert rec["probe_failed"] == []
+    # the CLI's `run` enters through run_experiment, the root of every span
+    assert [s["parent"] for s in rec["spans"]
+            if s["name"] == "experiment.run_experiment"] == [None]
     metrics = tracer.layer_metrics(rec["spans"], set(rec["installed"]),
                                    set(rec["probe_failed"]))
     assert sorted(_per_layer_names() - set(metrics)) == []

@@ -408,6 +408,43 @@ def test_load_split_rejects_a_ranked_item_in_the_training_history(tmp_path, name
     assert exit_code_for(e.value) == 3
 
 
+def test_load_split_rejects_a_negative_that_is_the_held_out_item(tmp_path):
+    d, _ = planted_dataset(n_users=60, n_items=80, n_topics=4, seed=3)
+    split = make_warm_split(d, min_user_clicks=5, negatives=20, seed=1)
+    save_warm_split(split, str(tmp_path / "s"))
+    # user 0's first negative becomes that user's test item, which evaluation
+    # would then rank twice and count as two hits
+    user, item = (tmp_path / "s" / "test.csv").read_text(encoding="utf-8").splitlines()[1] \
+        .split(",")[:2]
+    path = tmp_path / "s" / "negatives.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1].split(",")[0] == user
+    lines[1] = f"{user},{item}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"negatives.csv: the negative item '{item}' of "
+                                          f"user '{user}' is that user's held-out") as e:
+        load_split(str(tmp_path / "s"))
+    assert exit_code_for(e.value) == 3
+
+
+def test_load_split_peak_memory_per_pair_row_is_bounded(tmp_path):
+    d, _ = planted_dataset(n_users=400, n_items=300, n_topics=5, seed=2)
+    split = make_warm_split(d, min_user_clicks=5, negatives=60, seed=2)
+    assert split.negatives.size >= 20_000
+    save_warm_split(split, str(tmp_path / "s"))
+    rows = sum(len(split_file.read_text(encoding="utf-8").splitlines()) - 1
+               for split_file in (tmp_path / "s").glob("*.csv"))
+    tracemalloc.start()
+    try:
+        load_split(str(tmp_path / "s"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a tuple per pair in a set of seen pairs, plus Python int lists, cost
+    # about 130 bytes a row; three int64s a row plus the sort stay under 100
+    assert peak < 100 * rows, peak / rows
+
+
 # --------------------------------------------------------- benchmark inputs
 
 # sha256 of write_dataset_csvs output. The benchmark's inputs are these

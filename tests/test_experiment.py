@@ -25,10 +25,7 @@ from alignrec.experiment import (
     _Pipeline,
     build_grid,
     compare_reports,
-    run_evaluate,
-    run_featurize,
-    run_fit,
-    run_split,
+    run_verb,
     write_trace_csv,
 )
 from alignrec import load_model, load_split
@@ -76,15 +73,15 @@ def test_verbs_require_the_data_files_their_stages_read(planted_config):
     open(path, "w", encoding="utf-8").write(yaml.safe_dump(cfg))
     load_config(path)  # values only: whether a file exists is the verb's question
     with pytest.raises(ConfigError, match="interactions file not found"):
-        run_split(path)
+        run_verb("split", path)
     path = planted_config(name="attr")
     cfg = yaml.safe_load(open(path, encoding="utf-8"))
     cfg["attributes"][0]["path"] = "nowhere.csv"
     open(path, "w", encoding="utf-8").write(yaml.safe_dump(cfg))
     with pytest.raises(ConfigError, match="attribute 'topic': file not found"):
-        run_featurize(path)
+        run_verb("featurize", path)
     assert not os.path.exists(os.path.join(os.path.dirname(path), "out"))
-    run_split(path)  # the split never reads the attribute file
+    run_verb("split", path)  # the split never reads the attribute file
 
 
 def _rewrite(path, mutate):
@@ -442,7 +439,7 @@ def test_cold_coverage_counts_only_finite_weights(planted_config, monkeypatch):
         return model
 
     monkeypatch.setattr(solvers, "fit_ease", poisoned)
-    outdir = run_fit(planted_config())
+    outdir = run_verb("fit", planted_config())
     with open(os.path.join(outdir, "model.bin.json"), encoding="utf-8") as fh:
         coverage = json.load(fh)["diagnostics"]["cold_coverage"]
     cold = load_split(os.path.join(outdir, "splits")).cold_cols
@@ -641,7 +638,7 @@ def test_run_logs_one_timing_line_per_stage(planted_config, caplog):
 
 def test_run_split_writes_only_the_split(planted_config):
     path = planted_config()
-    split_dir = run_split(path)
+    split_dir = run_verb("split", path)
     assert sorted(os.listdir(split_dir)) == [
         "manifest.json", "test.csv", "train.csv", "val.csv"]
     out = os.path.dirname(split_dir)
@@ -650,7 +647,7 @@ def test_run_split_writes_only_the_split(planted_config):
 
 def test_run_featurize_persists_blocks(planted_config):
     path = planted_config()
-    feat_dir = run_featurize(path)
+    feat_dir = run_verb("featurize", path)
     files = sorted(os.listdir(feat_dir))
     assert "topic.json" in files
     assert any(f.startswith("topic.") and f.endswith(".npy") for f in files)
@@ -658,11 +655,11 @@ def test_run_featurize_persists_blocks(planted_config):
 
 def test_run_fit_then_evaluate(planted_config):
     path = planted_config(grid={"lambda1": [0.5]})
-    outdir = run_fit(path)
+    outdir = run_verb("fit", path)
     files = os.listdir(outdir)
     assert "model.bin" in files and "INCOMPLETE" not in files
     assert not any(f.startswith("report_") for f in files)
-    run_evaluate(path)
+    run_verb("evaluate", path)
     files = os.listdir(outdir)
     assert "report_cold.json" in files and "report_all.txt" in files
 
@@ -688,7 +685,7 @@ def test_failed_fit_leaves_incomplete_marker(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     with pytest.raises(StageError) as excinfo:
-        run_fit(str(path))
+        run_verb("fit", str(path))
     assert excinfo.value.stage == "grid-search"
     assert str(path) in str(excinfo.value)
     assert os.path.exists(tmp_path / "out" / "INCOMPLETE")

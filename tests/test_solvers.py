@@ -576,6 +576,25 @@ def test_mslim_zero_lambda_with_cold_items_names_the_singular_columns(
     assert excinfo.value.columns == expected
 
 
+@pytest.mark.parametrize("cold", ["some", "all-but-one"])
+@pytest.mark.parametrize("gamma1", [0.0, 2.5])
+@pytest.mark.parametrize("alignment", ["none", "cold-d", "warm-d"])
+def test_mslim_zero_lambda_with_two_empty_columns_refuses_before_factoring(
+        monkeypatch, cold, gamma1, alignment):
+    # 8 items: "some" empties 2 columns, "all-but-one" 7
+    X, cfg, B = _mslim_case(5, 8, False, cold, 0.4, gamma1, alignment)
+    cfg.lambda1 = 0.0
+    expected = _direct_singular_columns(X, cfg, None if B is None else B.materialize())
+    assert expected == list(range(8))
+    calls = []
+    for name in ("invert", "solve_general"):
+        monkeypatch.setattr(solvers, name, lambda *a, _name=name, **k: calls.append(_name))
+    with pytest.raises(SolverError, match="increase lambda1 or gamma1") as excinfo:
+        fit_mslim(X, cfg, B=B)
+    assert calls == []
+    assert excinfo.value.columns == expected
+
+
 def test_mslim_config_validation():
     for bad in ({"w0": 0.0}, {"w1": -0.1}, {"lambda1": -1.0}, {"gamma1": -1.0}):
         with pytest.raises(ValueError):
