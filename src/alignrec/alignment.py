@@ -117,16 +117,22 @@ def smoothed_cosine(Z, delta=0.0):
     n = m.shape[0]
     check_dense_budget(n, n, what="similarity matrix")
     if sp.issparse(m):
-        inner = (m @ m.T).toarray()
+        inner = (m @ m.T).toarray().astype(np.float64, copy=False)
         norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
     else:
         m = np.asarray(m, dtype=np.float64)
         inner = m @ m.T
         norms = np.linalg.norm(m, axis=1)
-    denom = np.outer(norms, norms) + delta
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g = np.where(denom > 0, inner / np.where(denom > 0, denom, 1.0), 0.0)
-    return 0.5 * (g + g.T)
+    # in place: G takes inner's buffer; denom, then G's transpose, are the scratch
+    denom = np.outer(norms, norms)
+    denom += delta
+    pos = denom > 0
+    g = np.divide(inner, denom, out=inner, where=pos)
+    del denom
+    np.copyto(g, 0.0, where=~pos)
+    g += g.T.copy()
+    g *= 0.5
+    return g
 
 
 def mix_similarities(blocks, mu):

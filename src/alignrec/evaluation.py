@@ -194,13 +194,15 @@ _DRAW_CELLS = 2**16
 def bootstrap_ci(per_user_values, resamples=500, fraction=0.20, seed=0):
     """Percentile bootstrap of the mean over user subsamples.
 
-    Each resample draws ceil(fraction * n) users with replacement; the
-    interval is the (2.5, 97.5) percentile range of the resample means.
-    Given one row of n values it returns (lo, hi); given a stack of rows
-    over the same n users (one per metric and k), one interval per row,
-    all from the same draws. The draws come ``_DRAW_CELLS`` indices at a
-    time; chunked ``Generator.integers`` rows equal one draw, so the
-    intervals do not depend on the chunk.
+    Each resample draws m = ceil(fraction * n) users with replacement; the
+    interval is the (2.5, 97.5) percentile range of the resample means. It
+    is therefore the spread of an m-user subsample mean, not of the n-user
+    mean a report prints beside it: about 1/sqrt(fraction) as wide, 2.2x at
+    the default fraction 0.2. Given one row of n values it returns (lo, hi);
+    given a stack of rows over the same n users (one per metric and k), one
+    interval per row, all from the same draws. The draws come
+    ``_DRAW_CELLS`` indices at a time; chunked ``Generator.integers`` rows
+    equal one draw, so the intervals do not depend on the chunk.
     """
     values = np.asarray(per_user_values, dtype=np.float64)
     rows = np.atleast_2d(values)

@@ -11,12 +11,13 @@ Two backbones share the aligned-system structure:
   a Sherman-Morrison-Woodbury step with a small capacitance solve (a
   closed form when no user clicked it). The Woodbury columns share Y = X Q,
   users x items with Q = K^-1 (times I + H when a clicked item has a decay
-  weight), formed once per fit, and go in groups of consecutive columns
-  whose stacked click rows fit a cell budget (_GROUP_CELLS): a group
-  gathers its rows of X and Y once and applies its updates in one
-  product. A column solves its full system directly when the capacitance
-  would be as large as K or fails the rcond check, and every column does
-  when K itself is singular.
+  weight), formed once per fit as Y^T. They are ordered by click count and
+  cut into groups whose padded gather of Y^T fits a cell budget
+  (_GROUP_CELLS, 2^18, and at most half of Y): a group gathers Y^T once and
+  forms all its capacitances in one sparse product, and P U products over
+  64 columns at a time apply the updates. A column solves its full system
+  directly when the capacitance would be as large as K or fails the rcond
+  check, and every column does when K itself is singular.
 
 Both start from S = X^T (X + B), with X^T B taken from the Gram; an
 alignment matrix B acts when it is given with alpha != 0. Every fit
@@ -318,71 +319,129 @@ def fit_ease(X, cfg, F=None, B=None, context=None):
 
 _ROUTES = ("rank_one", "woodbury", "direct")  # diagnostics count the columns of each
 
-# Most cells (stacked click rows x items) a Woodbury group gathers from Y = X Q
-# at once: 2^16 float64s, 512 KiB
-_GROUP_CELLS = 2**16
+# Most cells a Woodbury group gathers from Y^T = (X Q)^T at once, counted
+# padded: its columns x (their largest click count + 1) x items, 2^18
+# float64s (2 MiB)
+_GROUP_CELLS = 2**18
 
 
-def _woodbury_groups(cols, r, width):
-    """Runs of consecutive ``cols`` whose click rows ``r`` stack to at most
-    _GROUP_CELLS cells of ``width`` items; a column alone may exceed it."""
-    groups, start, rows = [], 0, 0
-    for j, i in enumerate(cols):
-        if j > start and (rows + r[i]) * width > _GROUP_CELLS:
+def _group_cells(users, width):
+    """A Woodbury group's gather budget: _GROUP_CELLS, and at most half of
+    the ``users`` x ``width`` cells of Y^T, which the fit holds beside it."""
+    return min(_GROUP_CELLS, users * width // 2)
+
+
+def _woodbury_groups(cols, r, width, cells):
+    """``cols`` ordered by click count ``r``, ties by column, cut into groups
+    whose padded gather, columns x (largest r + 1) x ``width`` items, holds
+    at most ``cells``; a column alone may exceed it."""
+    cols = cols[np.argsort(r[cols], kind="stable")]
+    groups, start = [], 0
+    for j, rj in enumerate(r[cols].tolist()):
+        if j > start and (j + 1 - start) * (rj + 1) * width > cells:
             groups.append(cols[start:j])
-            start, rows = j, 0
-        rows += r[i]
+            start = j
     if len(cols):
         groups.append(cols[start:])
     return groups
 
 
-def _woodbury_group(g, p, y, Xcsr, Xcsc, cfg, theta, route):
-    """Solve the Woodbury columns ``g`` into ``theta``, setting their ``route``;
-    a column whose capacitance fails the rcond check keeps the direct route.
+def _slots(g, Xcsr, Xcsc):
+    """The click rows of the m Woodbury columns ``g``, column j's r_j rows
+    padded to R = max r + 1 slots. Returns (r, pad, a): pad is m x R, the
+    user in slot c < r_j of column j and 0 elsewhere; a is the sparse factor
+    with one row per slot, row j R + c being X's row pad[j, c] with item k
+    moved to column k m + j when c < r_j, and empty otherwise."""
+    m, lo = len(g), Xcsc.indptr[g]
+    r = Xcsc.indptr[g + 1] - lo
+    R, n = int(r.max()) + 1, Xcsr.shape[1]
+    live = (np.arange(R) < r[:, None]).ravel()
+    rows = Xcsc.indices[np.repeat(lo - np.cumsum(r) + r, r) + np.arange(r.sum())]
+    pad = np.zeros(m * R, dtype=np.intp)
+    pad[live] = rows
+    first, per_row = Xcsr.indptr[rows], np.diff(Xcsr.indptr)[rows]
+    lens = np.zeros(m * R, dtype=np.intp)
+    lens[live] = per_row
+    indptr = np.concatenate([[0], np.cumsum(lens)])
+    at = np.repeat(first - indptr[:-1][live], per_row) + np.arange(indptr[-1])
+    cols = Xcsr.indices[at] * m + np.repeat(np.repeat(np.arange(m), r), per_row)
+    return r, pad.reshape(m, R), sp.csr_matrix((Xcsr.data[at], cols, indptr),
+                                               shape=(m * R, n * m))
 
-    With U = [X_i^T, e_i], W = [w_gap V_i; gamma1 e_i^T] and p = P e_i,
-    S_i^-1 e_i = p - P U (I + W P U)^-1 W p, where V_i P = X_i Q is the row
-    gather Y[rows_i]. The group stacks its columns' click rows once: one sparse
-    X_g, one gather of Y, one X_g P[g]^T for the capacitances' last rows,
-    and after the solves one bincount for every X_i^T z and one P U gemm.
+
+def _woodbury_group(g, p, yt, Xcsr, Xcsc, cfg, theta, zr, route):
+    """Solve the capacitances of the Woodbury columns ``g``. A column i that
+    passes the rcond check gets the Woodbury route in ``route``, X_i^T z_x
+    in its column of ``theta`` and z_r in ``zr``, z = (z_x, z_r) its
+    capacitance solution; the others keep the direct route.
+
+    One gather of ``yt`` = Y^T at the group's slots (see _slots), with P's
+    row i in column j's slot r_j, times the sparse factor gives every
+    capacitance I + W P U, transposed, but its last row, which is that
+    gather at item i; one bincount over the factor's entries gives every
+    X_i^T z_x.
     """
-    w_gap, n = cfg.w0 - cfg.w1, Xcsr.shape[1]
-    lo, hi = Xcsc.indptr[g], Xcsc.indptr[g + 1]
-    rows = np.concatenate([Xcsc.indices[a:b] for a, b in zip(lo, hi)])
-    off = np.concatenate([[0], np.cumsum(hi - lo)])  # column j's rows are off[j]:off[j + 1]
-    xg, vpg = Xcsr[rows], y[rows]
-    last = xg @ p[g].T  # column j's rows hold X_i p[i]
-    zx, zr = np.zeros(len(rows)), np.zeros(len(g))
-    solved = np.zeros(len(g), dtype=bool)
-    for j, i in enumerate(g):
-        a, b = off[j], off[j + 1]
-        r, ea, eb = b - a, xg.indptr[a], xg.indptr[b]
-        xi = sp.csr_matrix((xg.data[ea:eb], xg.indices[ea:eb], xg.indptr[a:b + 1] - ea),
-                           shape=(r, n))
-        vp = vpg[a:b]
-        cap = np.empty((r + 1, r + 1))
-        cap[:r, :r] = w_gap * (xi @ vp.T).T
-        cap[:r, r] = w_gap * vp[:, i]
-        cap[r, :r] = cfg.gamma1 * last[a:b, j]
-        cap[r, r] = cfg.gamma1 * p[i, i]
-        wp = cap[:, r].copy()
-        cap.flat[::r + 2] += 1.0
+    w_gap, n, m = cfg.w0 - cfg.w1, len(yt), len(g)
+    r, pad, a = _slots(g, Xcsr, Xcsc)
+    R, j = pad.shape[1], np.arange(m)
+    gy = yt.take(pad, axis=1)  # gy[k, j, c] = Y[pad[j, c], k]
+    gy[:, j, r] = p[g].T
+    scale = np.full((m, 1, R), w_gap)
+    scale[j, 0, r] = cfg.gamma1
+    wp = gy[g, j] * scale[:, 0]  # the capacitances' last columns W p
+    # cap_t[j, a, c] = sum_k X[pad[j, a], k] gy[k, j, c]
+    cap_t = (a @ gy.reshape(n * m, R)).reshape(m, R, R)
+    del gy  # the group's largest array, not needed by the solves
+    cap_t *= scale
+    cap_t[j, r] = wp
+    cap_t.reshape(m, R * R)[:, ::R + 1] += 1.0
+    z = np.zeros((m, R))
+    for c, rc in enumerate(r.tolist()):
+        cap = cap_t[c, :rc + 1, :rc + 1].T
         try:
-            z = solve_general(cap, wp)
+            z[c, :rc + 1] = solve_general(cap, wp[c, :rc + 1])
         except SingularMatrixError:
             continue  # e.g. a negative update (w1 > w0): solve S_i directly
-        zx[a:b], zr[j], solved[j] = z[:r], z[r], True
-    # X_i^T z for every column at once, each into its own n-wide bin range
-    per_row = np.diff(xg.indptr)
-    owner = np.repeat(np.repeat(np.arange(len(g)), hi - lo), per_row)
-    u = np.bincount(owner * n + xg.indices, weights=xg.data * np.repeat(zx, per_row),
-                    minlength=len(g) * n).reshape(len(g), n)
-    s = p[:, g] * (1.0 - zr) - p @ u.T
-    done = g[solved]
-    theta[:, done] = -(cfg.lambda1 + cfg.gamma1) * s[:, solved]
+        route[g[c]] = 1
+    theta[:, g] = np.bincount(a.indices, a.data * np.repeat(z.ravel(), np.diff(a.indptr)),
+                              n * m).reshape(n, m)
+    zr[g] = z[j, r]
+
+
+def _woodbury_columns(wood, r, p, m, Xcsr, Xcsc, cfg, theta, route, workers):
+    """Solve the Woodbury columns ``wood`` into ``theta``, setting their
+    ``route``; a column whose capacitance fails the rcond check keeps the
+    direct route.
+
+    With U = [X_i^T, e_i], W = [w_gap V_i; gamma1 e_i^T] and p = P e_i,
+    S_i^-1 e_i = p - P U z, z = (I + W P U)^-1 W p, where V_i P = X_i Q is
+    Y = X Q at X_i's rows. Y^T is formed once, in blocks of users; the
+    groups (see _woodbury_groups) solve their capacitances on ``workers``
+    threads, and then P U applies every update, 64 columns at a time.
+    """
+    n, users = len(p), Xcsr.shape[0]
+    cells = _group_cells(users, n)
+    # in blocks of half a group's gather, so that one users x items array
+    # exists at a time
+    q = p if m is None else m @ p
+    yt, step = np.empty((n, users)), max(1, cells // n // 2)
+    for lo in range(0, users, step):
+        yt[:, lo:lo + step] = (Xcsr[lo:lo + step] @ q).T
+    del q
+    zr = np.zeros(n)
+    _run(lambda g: _woodbury_group(g, p, yt, Xcsr, Xcsc, cfg, theta, zr, route),
+         _woodbury_groups(wood, r, n, cells), workers)
+    del yt  # the updates need only P and theta
+    # 64 columns at a time: a gemm over every column packs all of U into
+    # BLAS's buffer, which grows the fit's peak RSS by about n^2 float64s
+    done = np.flatnonzero(route == 1)
+    for lo in range(0, len(done), 64):
+        d = done[lo:lo + 64]
+        s = p @ theta[:, d]  # P X_i^T z_x
+        np.subtract(p[:, d] * (1.0 - zr[d]), s, out=s)
+        s *= -(cfg.lambda1 + cfg.gamma1)
+        theta[:, d] = s
     theta[done, done] += 1.0
-    route[done] = 1
 
 
 def _direct_column(i, k, m, Xcsr, Xcsc, cfg, theta, failures):
@@ -424,11 +483,12 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
     Woodbury step; S_i is solved directly when r_i + 1 >= n, its capacitance
     fails the rcond check, or K is singular. V_i P = X_i Q with Q = M P and
     M = I + H, H = B's item map, or Q = P when no column of K has a decay
-    weight: Y = X Q is formed once, and the Woodbury columns go in groups
-    of consecutive columns whose stacked click rows hold at most
-    _GROUP_CELLS cells of Y, each with one gather of X and Y (see
-    _woodbury_group). Threads take whole groups, and direct columns one by
-    one, so workers never change the result.
+    weight: Y = X Q is formed once, the Woodbury columns go in groups by
+    click count (see _woodbury_groups), each with one gather of Y^T and one
+    sparse product for all its capacitances (see _woodbury_group), and P U
+    products over 64 columns at a time apply the Woodbury updates. Threads take whole groups,
+    and direct columns one by one, and no column's arithmetic depends on
+    its group, so neither workers nor the grouping change the result.
 
     ``context`` is a FitContext of X to share between fits. With lambda1 > 0
     it eliminates the empty columns C, fitting the warm columns on the warm
@@ -476,10 +536,7 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
         # r_i + 1 >= n, n the item count of the whole fit, solves directly on either route
         wood = np.flatnonzero((r > 0) & (r < ctx.X.shape[1] - 1))
         if len(wood):
-            y = Xcsr @ np.ascontiguousarray(p if m is None else m @ p)  # Y = X Q
-            _run(lambda g: _woodbury_group(g, p, y, Xcsr, Xcsc, cfg, theta, route),
-                 _woodbury_groups(wood, r, n), workers)
-            del y
+            _woodbury_columns(wood, r, p, m, Xcsr, Xcsc, cfg, theta, route, workers)
     _run(lambda i: _direct_column(i, k, m, Xcsr, Xcsc, cfg, theta, failures),
          np.flatnonzero(route == 2).tolist(), workers)
     failures = [(int(system.items[i]), e) for i, e in failures]

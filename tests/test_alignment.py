@@ -1,5 +1,7 @@
 """Similarity smoothing, coefficient mixing, and the alignment matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -62,6 +64,33 @@ def test_smoothed_cosine_accepts_blocks_and_sparse_input():
     from_dense = smoothed_cosine(block.dense(), delta=0.5)
     np.testing.assert_allclose(from_block, from_dense, atol=1e-12)
     assert np.array_equal(from_block, from_block.T)
+
+
+@pytest.mark.parametrize("kind", ["multihot", "dense"])
+def test_smoothed_cosine_scratch_memory_is_bounded(kind):
+    # G is formed in place: above its own n^2 output it holds at most 3 n^2
+    # float64s of scratch (an out-of-place formula holds more), and it stays
+    # bit for bit the out-of-place formula, zero rows included
+    n, rng = 600, np.random.default_rng(5)
+    z = (rng.random((n, 40)) < 0.1) * 1.0 if kind == "multihot" else rng.standard_normal((n, 16))
+    z[7] = 0.0
+    if kind == "multihot":
+        z = sp.csr_matrix(z)
+        inner, norms = (z @ z.T).toarray(), np.sqrt(np.asarray(z.multiply(z).sum(axis=1)).ravel())
+    else:
+        inner, norms = z @ z.T, np.linalg.norm(z, axis=1)
+    denom = np.outer(norms, norms) + 0.5
+    expected = np.where(denom > 0, inner / np.where(denom > 0, denom, 1.0), 0.0)
+    expected = 0.5 * (expected + expected.T)
+    del inner, denom
+    tracemalloc.start()
+    try:
+        g = smoothed_cosine(z, delta=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.tobytes() == expected.tobytes()
+    assert peak - g.nbytes <= 3 * g.nbytes
 
 
 def test_smoothed_cosine_rejects_negative_delta():

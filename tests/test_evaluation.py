@@ -559,6 +559,28 @@ def test_evaluate_scenario_draws_the_bootstrap_once_per_report():
         assert m.ci == bootstrap_ci(m.per_user, resamples=50, seed=split.seed)
 
 
+def test_reported_interval_is_the_spread_of_a_subsample_mean():
+    # a report's interval is the percentile spread of the mean of
+    # ceil(fraction * n) users drawn with replacement under the split's seed,
+    # not of the n-user mean printed beside it: at fraction 0.2 it is about
+    # sqrt(5) = 2.2 times as wide as the n-user mean's
+    rng = np.random.default_rng(9)
+    n_users, n_items = 400, 30
+    held = np.column_stack((np.arange(n_users), rng.integers(0, n_items, n_users)))
+    clicked = rng.random((n_users, n_items)) < 0.2
+    clicked[held[:, 0], held[:, 1]] = False
+    split = _split_over(clicked, held=held)
+    scores = rng.random((n_users, n_items))
+    hr = evaluate_scenario(scores, split, "all", ks=(10,), resamples=400).metric("hr", 10)
+    m = math.ceil(0.2 * n_users)
+    idx = np.random.default_rng(split.seed).integers(0, n_users, size=(400, m))
+    means = hr.per_user[idx].mean(axis=1)
+    assert hr.ci == tuple(float(v) for v in np.percentile(means, [2.5, 97.5]))
+    whole = evaluate_scenario(scores, split, "all", ks=(10,), resamples=400, fraction=1.0)
+    lo, hi = whole.metric("hr", 10).ci
+    assert 1.9 < (hr.ci[1] - hr.ci[0]) / (hi - lo) < 2.6
+
+
 def test_bootstrap_needs_five_users():
     with pytest.raises(ValueError, match="need >= 5"):
         bootstrap_ci(np.ones(4))

@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -31,6 +32,7 @@ from alignrec import solvers
 from alignrec.errors import SingularMatrixError
 from alignrec.linalg import invert, solve_general
 from alignrec.solvers import popularity_scores, random_scores
+from alignrec.synthetic import planted_dataset
 
 
 def _random_clicks(rng, n_users, n_items, density=0.35):
@@ -408,6 +410,13 @@ def _fail_capacitances(m, rhs):
     return solve_general(m, rhs)
 
 
+def _fail_even_capacitances(m, rhs):
+    """solve_general, except that a Woodbury capacitance of even order fails."""
+    if m is sys._getframe(1).f_locals.get("cap") and len(m) % 2 == 0:
+        raise SingularMatrixError("forced", pivot=0)
+    return solve_general(m, rhs)
+
+
 def _fit_or_columns(X, cfg, B, workers=1):
     """fit_mslim's (theta, columns_by_route), or (None, its SolverError columns)."""
     try:
@@ -417,26 +426,52 @@ def _fit_or_columns(X, cfg, B, workers=1):
     return model.theta, model.diagnostics["columns_by_route"]
 
 
-@given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(2, 10), dense=st.booleans(),
-       cold=st.sampled_from(["none", "some", "all-but-one"]),
+@given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(2, 16), dense=st.booleans(),
+       cold=st.sampled_from(["none", "none", "some", "all-but-one"]),
        w1=st.sampled_from([0.0, 0.4, 1.7]), gamma1=st.sampled_from([0.0, 2.5]),
        alignment=st.sampled_from(["none", "cold-d", "warm-d"]),
-       zero_lambda=st.booleans(), fail_caps=st.booleans())
-@settings(max_examples=60, deadline=None)
+       zero_lambda=st.sampled_from([False, False, True]),
+       fail_caps=st.sampled_from(["none", "none", "all", "even"]),
+       clicks=st.sampled_from(["random", "extremes", "duplicated"]),
+       slots=st.integers(2, 30))
+@settings(max_examples=150, deadline=None)
 def test_grouped_woodbury_matches_the_per_column_loop(seed, n_items, dense, cold, w1, gamma1,
-                                                      alignment, zero_lambda, fail_caps):
+                                                      alignment, zero_lambda, fail_caps,
+                                                      clicks, slots):
     # w1 = 1.7 > w0 is a negative update, a dense X gives r_i + 1 >= n direct
     # columns, "warm-d" puts a decay weight on clicked items (M = I + H), and a
-    # zero lambda1 with cold items makes K singular
+    # zero lambda1 with cold items makes K singular. "extremes" clicks each
+    # warm column by 1 or n - 2 users, so that a group pads 1-click columns
+    # to the longest and runs of equal click counts are long; "duplicated"
+    # clicks each by 1 to (n - 2) / 2 users of the first half and repeats
+    # those rows as the second half
     X, cfg, B = _mslim_case(seed, n_items, dense, cold, w1, gamma1, alignment)
+    if clicks != "random":
+        rng = np.random.default_rng(seed)
+        x = X.toarray()
+        half = len(x) // 2
+        for i in np.flatnonzero(x.any(axis=0)):
+            x[:, i] = 0.0
+            if clicks == "extremes":
+                x[rng.permutation(len(x))[:rng.choice([1, max(1, n_items - 2)])], i] = 1.0
+            else:
+                x[rng.permutation(half)[:rng.integers(1, max(2, n_items // 2))], i] = 1.0
+        if clicks == "duplicated":
+            x[half:2 * half] = x[:half]
+        X = sp.csr_matrix(x)
+        if B is not None:
+            B = align(X, B.G, AlignmentConfig(alpha=B.alpha), d=B.d)
     if zero_lambda:
         cfg.lambda1 = 0.0
-    solve = _fail_capacitances if fail_caps else solve_general
+    solve = {"none": solve_general, "all": _fail_capacitances,
+             "even": _fail_even_capacitances}[fail_caps]
     with mock.patch.object(solvers, "solve_general", solve):
         ref_theta, ref_routes = reference_mslim_columns(X, cfg, B)
-        # one column per group, the default budget, and every column in one group
-        for cells in (1, solvers._GROUP_CELLS, 2**62):
-            with mock.patch.object(solvers, "_GROUP_CELLS", cells):
+        # one column per group, a budget of ``slots`` padded slots per group
+        # (which cuts runs of equal click counts), and every column in one group
+        thetas = []
+        for cells in (1, slots, 2**62):
+            with mock.patch.object(solvers, "_group_cells", lambda users, width: cells * width):
                 theta, routes = _fit_or_columns(X, cfg, B)
             assert routes == ref_routes
             if ref_theta is None:
@@ -444,15 +479,53 @@ def test_grouped_woodbury_matches_the_per_column_loop(seed, n_items, dense, cold
                 continue
             tol = 1e-12 * max(1.0, np.abs(ref_theta).max())
             assert np.abs(theta - ref_theta).max() <= tol
+            thetas.append(theta)
         # more threads than cores, switching often, must lose no column update
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded, threaded_routes = _fit_or_columns(X, cfg, B, workers=3)
+            with mock.patch.object(solvers, "_group_cells", lambda users, width: slots * width):
+                threaded, threaded_routes = _fit_or_columns(X, cfg, B, workers=3)
         finally:
             sys.setswitchinterval(interval)
-    assert threaded_routes == routes
-    assert (theta is None and threaded is None) or np.array_equal(theta, threaded)
+    assert threaded_routes == ref_routes
+    # no column's arithmetic depends on its group or thread: theta is the same bytes
+    assert all(t.tobytes() == threaded.tobytes() for t in thetas)
+
+
+def test_woodbury_builds_one_sparse_matrix_per_group_and_one_solve_per_column():
+    # counts, not times: the sparse matrices built inside _woodbury_group
+    # (through the constructor it calls, wrapped in a stand-in for
+    # solvers.sp, so scipy.sparse itself is untouched) grow with the groups,
+    # not the columns, and every column solves once
+    dataset, _ = planted_dataset(n_users=300, n_items=80, n_topics=8, seed=3)
+    inside, built, groups, solves = [False], [0], [0], [0]
+
+    def constructor(*args, **kwargs):
+        built[0] += inside[0]
+        return sp.csr_matrix(*args, **kwargs)
+
+    def group(*args):
+        groups[0] += 1
+        inside[0] = True
+        try:
+            return woodbury_group(*args)
+        finally:
+            inside[0] = False
+
+    def solve(m, rhs):
+        solves[0] += 1
+        return solve_general(m, rhs)
+
+    woodbury_group = solvers._woodbury_group
+    sparse = types.SimpleNamespace(**{**vars(sp), "csr_matrix": constructor})
+    with mock.patch.object(solvers, "sp", sparse), \
+            mock.patch.object(solvers, "_woodbury_group", group), \
+            mock.patch.object(solvers, "solve_general", solve):
+        routes = fit_mslim(dataset.X, MslimConfig(w1=0.5, lambda1=5.0, gamma1=10.0)
+                           ).diagnostics["columns_by_route"]
+    assert built[0] <= groups[0] < routes["woodbury"]
+    assert solves[0] == routes["woodbury"] + routes["direct"]
 
 
 def test_mslim_scratch_memory_is_bounded():
