@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import check_dense_budget
+from .linalg import check_dense_budget, row_blocks
 from . import evaluation
 
 log = logging.getLogger(__name__)
@@ -151,13 +151,17 @@ def mix_similarities(blocks, mu):
         raise ValueError(f"similarity blocks disagree on shape: {sorted(shapes)}")
     n = blocks[0].shape[0]
     out = np.zeros((n, n))
+    # a block of rows at a time, so that the scratch beside ``out`` is that
+    # block's, with the same operations in the same order on every cell
     for coef, g in zip(mu.first_order, blocks):
         if coef != 0.0:
-            out += coef * g
+            for at in row_blocks(n):
+                out[at] += coef * g[at]
     for coef, (k, l) in zip(mu.second_order, attribute_pairs(len(blocks))):
         if coef != 0.0:
             prod = blocks[k] @ blocks[l]
-            out += coef * 0.5 * (prod + prod.T)
+            for at in row_blocks(n):
+                out[at] += coef * 0.5 * (prod[at] + prod[:, at].T)
     return out
 
 

@@ -33,6 +33,8 @@ _DELIMITERS = {"csv": ",", "tsv": "\t"}
 # of float64 keys). On a 4k x 1k log, blocks of 2**20 cells raised the
 # peak RSS of a process making the outer and nested splits from 82 to 103 MiB.
 _DRAW_CELLS = 2**18
+# Rows _write_pairs_csv joins into one string at a time
+_WRITE_ROWS = 2**14
 
 
 @dataclass
@@ -127,12 +129,15 @@ def load_interactions(path, format="csv", binarize_threshold=0.5):
 
     Rows with value >= binarize_threshold become 1-entries; the rest are
     dropped. Ids are indexed densely in first-appearance order among kept
-    rows. Duplicate (user, item) pairs keep the most recent occurrence
-    (largest timestamp, else latest position).
+    rows, numbered as they are read: a kept row adds its user's and item's
+    numbers (and timestamp) to int64 arrays, and only the distinct ids are
+    kept as strings. Duplicate (user, item) pairs keep the most recent
+    occurrence (largest timestamp, else latest position).
     """
     if format not in _DELIMITERS:
         raise ValueError(f"format must be one of {sorted(_DELIMITERS)}, got {format!r}")
-    users, items, stamps = [], [], []
+    user_codes, item_codes = {}, {}
+    users, items, stamps = array.array("q"), array.array("q"), array.array("q")
     with open_utf8(path) as fh:
         reader = csv.reader(fh, delimiter=_DELIMITERS[format])
         header = next(reader, None)
@@ -170,8 +175,8 @@ def load_interactions(path, format="csv", binarize_threshold=0.5):
                             f"bad timestamp {row[3]!r}", line_number=lineno
                         ) from None
                 if value >= binarize_threshold:
-                    users.append(user)
-                    items.append(item)
+                    users.append(user_codes.setdefault(user, len(user_codes)))
+                    items.append(item_codes.setdefault(item, len(item_codes)))
                     stamps.append(ts)
         except ParseError as e:
             e.args = (f"{path}: {e}",)  # name the file; line_number stays
@@ -179,9 +184,9 @@ def load_interactions(path, format="csv", binarize_threshold=0.5):
     if not users:
         raise EmptyDatasetError(f"{path}: no interactions at threshold {binarize_threshold}")
 
-    user_rows, user_ids = _index_ids(users)
-    item_cols, item_ids = _index_ids(items)
-    stamps = np.array(stamps, dtype=np.int64)
+    user_rows, item_cols = np.frombuffer(users, np.int64), np.frombuffer(items, np.int64)
+    user_ids, item_ids = tuple(user_codes), tuple(item_codes)
+    stamps = np.frombuffer(stamps, np.int64)
     # dedup: a stable sort on (pair, timestamp) puts each pair's occurrence
     # with the largest (timestamp, position) last; keep it, in input order
     key = user_rows * len(item_ids) + item_cols
@@ -205,7 +210,8 @@ def _index_ids(ids):
 
     Returns the code of each entry and the distinct ids in code order. A
     dict keyed on the ids numbers them in one pass, without sorting, and
-    keeps ids apart that differ only by trailing NULs.
+    keeps ids apart that differ only by trailing NULs. load_interactions
+    numbers its ids the same way, one row at a time as it reads them.
     """
     codes = {}
     code = np.fromiter((codes.setdefault(i, len(codes)) for i in ids), np.int64, len(ids))
@@ -358,26 +364,33 @@ def _write_pairs_csv(path, dataset, pairs, timestamps=None, values=True, fields=
 
     The header is user,item[,value][,timestamp]; every value is 1. Each id
     is quoted once by the csv rules (``fields``: the ``_csv_fields`` of the
-    user and the item ids, computed when not given) and the file is one
-    string join of the cells and their separators: the bytes csv.writer
-    would write, without its per-row cost.
+    user and the item ids, computed when not given), and each block of
+    _WRITE_ROWS rows is one string join of its cells and their separators:
+    the bytes csv.writer would write, without its per-row cost, and with
+    scratch that does not grow with the row count.
     """
     header = ["user", "item"]
-    users, items = fields or (_csv_fields(dataset.user_ids), _csv_fields(dataset.item_ids))
-    columns = [users[pairs[:, 0]], items[pairs[:, 1]]]
     if values:
         header.append("value")
-        columns.append("1")
     if timestamps is not None:
         header.append("timestamp")
-        columns.append(list(map(str, np.asarray(timestamps).tolist())))
-    cells = np.empty((len(pairs), 2 * len(columns)), dtype=object)
-    for j, column in enumerate(columns):
-        cells[:, 2 * j] = column
-    cells[:, 1::2] = ","
-    cells[:, -1] = "\n"
+    users, items = fields or (_csv_fields(dataset.user_ids), _csv_fields(dataset.item_ids))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n" + "".join(cells.ravel().tolist()))
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(pairs), _WRITE_ROWS):
+            block = pairs[lo:lo + _WRITE_ROWS]
+            columns = [users[block[:, 0]], items[block[:, 1]]]
+            if values:
+                columns.append("1")
+            if timestamps is not None:
+                stamps = np.asarray(timestamps[lo:lo + _WRITE_ROWS])
+                columns.append(list(map(str, stamps.tolist())))
+            cells = np.empty((len(block), 2 * len(columns)), dtype=object)
+            for j, column in enumerate(columns):
+                cells[:, 2 * j] = column
+            cells[:, 1::2] = ","
+            cells[:, -1] = "\n"
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def write_json(path, payload):

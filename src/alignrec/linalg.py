@@ -16,6 +16,11 @@ Conventions
   weight d is nonzero; so the solvers name the items without decay weight
   as the core, unless a term that couples every item (lambda0 FF^T) or a
   zero lambda1 (MSLIM) leaves none
+- an inverse holds one items x items working array beside its input: the
+  core is factored in its own buffer, and ``invert(m, overwrite=True)``,
+  for a caller that owns m and reads it no more (EASE's private copy of
+  its system, not MSLIM's K, which its direct columns read again), writes
+  the inverse into m's buffer
 """
 
 from __future__ import annotations
@@ -31,6 +36,16 @@ DEFAULT_MEMORY_BUDGET = 16 * 2**30
 
 # Reciprocal condition estimate below which a system is treated as singular.
 RCOND_FLOOR = 1e-12
+
+# Rows or columns that a blockwise pass over an n x n array takes at a
+# time: a block's scratch stays a small share of n^2 at a few hundred
+# items, and the passes' call overhead small at a few thousand.
+_BLOCK = 16
+
+
+def row_blocks(n):
+    """Slices of _BLOCK rows (or columns) that cover n."""
+    return [slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)]
 
 
 def check_dense_budget(rows, cols, what="matrix"):
@@ -79,7 +94,10 @@ def _square(m):
 
 
 def _norm1(m):
-    return np.abs(m).sum(axis=0).max() if m.size else 0.0
+    """m's 1-norm, its largest column sum of |m|: LAPACK's infinity norm of
+    m^T (dlange), which is Fortran-ordered when m is C-ordered, so no |m|
+    copy is made. It sums each column in row order, as numpy would."""
+    return lapack.dlange("I", m.T)
 
 
 def _lu_solve(m, b, rows=None, anorm=None):
@@ -104,12 +122,13 @@ def _lu_solve(m, b, rows=None, anorm=None):
     return np.ascontiguousarray(x), rcond
 
 
-def _cholesky(m, rows=None):
+def _cholesky(k, rows=None):
     """(R, rcond): the upper Cholesky factor of a symmetric positive definite
-    m (dpotrf, which reads only m's upper triangle) and dpocon's rcond."""
-    m = _square(m)
-    anorm = _norm1(m)
-    c, info = lapack.dpotrf(m)
+    C-ordered k and dpocon's rcond. dpotrf factors k^T, which is k's own
+    buffer in Fortran order and equals k, in place (it reads k's lower
+    triangle), so k is destroyed and R is stored in it."""
+    anorm = _norm1(k)
+    c, info = lapack.dpotrf(k.T, overwrite_a=1)
     if info > 0:
         raise SingularMatrixError(
             f"matrix is not positive definite to working precision "
@@ -122,12 +141,18 @@ def _cholesky(m, rows=None):
 
 
 def _cholesky_inverse(c):
-    """The inverse from the Cholesky factor ``c`` (overwritten): dpotri,
-    mirrored from the upper triangle so it is bitwise symmetric."""
+    """The inverse from the Fortran-ordered Cholesky factor ``c``, in its
+    buffer: dpotri, mirrored from the upper triangle so it is bitwise
+    symmetric. The mirror goes a block of columns at a time: the columns
+    below a block's diagonal block lie apart from the rows it copies, so no
+    copy of the whole inverse is made."""
     inv, info = lapack.dpotri(c, overwrite_c=1)
     if info != 0:
         raise SingularMatrixError(f"dpotri failed with info={info}", pivot=None)
-    np.copyto(inv, inv.T, where=np.tri(len(inv), k=-1, dtype=bool))
+    for at in row_blocks(len(inv)):
+        inv[at.stop:, at] = inv[at, at.stop:].T
+        d = inv[at, at]
+        np.copyto(d, d.T, where=np.tri(len(d), k=-1, dtype=bool))
     return inv
 
 
@@ -181,7 +206,7 @@ def _core_mask(spd, n):
     return np.broadcast_to(core, (n,))
 
 
-def invert(m, spd=False, return_rcond=False):
+def invert(m, spd=False, return_rcond=False, overwrite=False):
     """Dense inverse of a square matrix, through its symmetric positive
     definite core.
 
@@ -206,32 +231,44 @@ def invert(m, spd=False, return_rcond=False):
     an rcond below 1e-12 in either factorization, raises
     SingularMatrixError naming a row of m. With ``return_rcond`` the result
     is (inverse, the smaller rcond).
+
+    K is gathered (or, with D empty, copied) and factored in place; it must
+    be bitwise symmetric, as it is by construction in the solvers, because
+    the factorization reads its lower triangle. ``overwrite`` is for a
+    caller that owns m and needs it no more, such as a fit's private copy of
+    its system: m's contents are then destroyed, and with N nonempty the
+    inverse is written into m's buffer (with D empty it is m's buffer read
+    in Fortran order) instead of a new array. A caller that reads m again,
+    or shares it, leaves ``overwrite`` off; m is then left untouched. The
+    inverse's bytes do not depend on it.
     """
     m = _square(m)
     n = len(m)
     core = _core_mask(spd, n)
     if core.all():
-        c, rcond = _cholesky(m)
+        c, rcond = _cholesky(m if overwrite else m.copy())
         p = _cholesky_inverse(c)
     elif not core.any():
         p, rcond = _lu_solve(m, np.eye(n))
     else:
         N, D = np.flatnonzero(core), np.flatnonzero(~core)
-        m_n, m_d = m.take(N, axis=0), m.take(D, axis=0)
-        k, m_nd = m_n.take(N, axis=1), m_n.take(D, axis=1)
-        del m_n
+        k, m_nd = m[np.ix_(N, N)], m[np.ix_(N, D)]
+        m_dn, m_dd = m[np.ix_(D, N)], m[np.ix_(D, D)]
         c, rcond = _cholesky(k, rows=N)
-        del k
-        y_nd, y_dn = _tri(c, m_nd, 1), _tri(c, m_d.take(N, axis=1).T, 1)
-        m_dd, s = m_d.take(D, axis=1), y_dn.T @ y_nd  # T = M_DD - S, S = M_DN Z M_ND
+        y_nd, y_dn = _tri(c, m_nd, 1), _tri(c, m_dn.T, 1)
+        s = y_dn.T @ y_nd  # T = M_DD - S, S = M_DN Z M_ND
         t_inv, t_rcond = _lu_solve(m_dd - s, np.eye(len(D)), rows=D,
                                    anorm=_norm1(m_dd) + _norm1(s))
+        del m_nd, m_dn, m_dd, s
         u, w = _tri(c, y_nd), t_inv @ _tri(c, y_dn).T  # Z M_ND and T^-1 M_DN Z
+        del y_nd, y_dn
         z = blas.dgemm(1.0, u, w, beta=1.0, c=_cholesky_inverse(c), overwrite_c=1)
-        p = np.empty_like(m)
+        p = m if overwrite else np.empty_like(m)
+        # a block of rows at a time, so that the scratch is a few rows, not |N| x n
         for rows, left, right in ((N, z, -(u @ t_inv)), (D, -w, t_inv)):
-            block = np.empty((len(rows), n))
-            block[:, N], block[:, D] = left, right
-            p[rows] = block
+            for at in row_blocks(len(rows)):
+                block = np.empty((len(rows[at]), n))
+                block[:, N], block[:, D] = left[at], right[at]
+                p[rows[at]] = block
         rcond = min(rcond, t_rcond)
     return (p, rcond) if return_rcond else p

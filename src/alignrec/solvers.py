@@ -48,7 +48,7 @@ import scipy.sparse as sp
 
 from .data import read_exact, read_item_id, read_json, write_json
 from .errors import FormatError, SingularMatrixError, SolverError
-from .linalg import gram, solve_general, invert, check_dense_budget
+from .linalg import check_dense_budget, gram, invert, row_blocks, solve_general
 
 log = logging.getLogger(__name__)
 
@@ -265,18 +265,31 @@ def _route_facts(ctx, system, core, rcond):
 
 
 def _ease_weights(p, lambda1, items):
-    """EASE's theta from P = M^-1, before its diagonal is zeroed; ``items``
-    names P's columns in errors."""
-    dp = np.diag(p)
+    """EASE's theta from P = M^-1, before its diagonal is zeroed, written
+    over P (which it returns), a block of rows at a time; ``items`` names P's
+    columns in errors.
+
+    theta = I - lambda1 P - P diag(I - lambda1 P) / diag(P), rounded element
+    for element as the out-of-place formula rounds it. Its off-diagonal
+    I - lambda1 P, 0 - lambda1 p, is formed as (-lambda1) p + 0.0: the sum
+    turns a -0 into the +0 that 0 - lambda1 * 0 gives, where -(lambda1 * 0)
+    alone would be -0.
+    """
+    dp = np.diag(p).copy()
     degenerate = np.flatnonzero(dp == 0.0)
     if len(degenerate):
         cols = items[degenerate].tolist()
         raise SolverError(f"degenerate items {cols}: zero diagonal in the inverse",
                           columns=cols)
-    # the correction is applied in place: one n x n buffer fewer at peak
-    theta = np.eye(len(p)) - lambda1 * p
-    theta -= p * (np.diag(theta) / dp)[None, :]
-    return theta
+    scale = (1.0 - lambda1 * dp) / dp
+    for at in row_blocks(len(p)):
+        rows, block = p[at], p[at].copy()
+        np.multiply(block, -lambda1, out=rows)
+        rows += 0.0
+        i = np.arange(len(rows))
+        rows[i, at.start + i] += 1.0
+        rows -= block * scale[None, :]
+    return p
 
 
 def fit_ease(X, cfg, F=None, B=None, context=None):
@@ -291,7 +304,9 @@ def fit_ease(X, cfg, F=None, B=None, context=None):
     eliminates the empty columns C (theta_WC = M_WW^-1 S_WC), and M's core
     on the items without decay weight, X^T X + lambda1 I, is symmetric
     positive definite and inverted by Cholesky; the decay columns go through
-    its Schur complement by LU.
+    its Schur complement by LU. M is the fit's own copy, so it is inverted
+    in place (``invert(..., overwrite=True)``), and on the general route
+    theta is formed over the inverse (see _ease_weights).
     """
     t0 = time.perf_counter()
     ctx = _context(X, context)
@@ -303,13 +318,15 @@ def fit_ease(X, cfg, F=None, B=None, context=None):
         m += cfg.lambda0 * _feature_item_gram(F)
     core = False if feature else ~system.decay
     try:
-        p, rcond = invert(m, spd=core, return_rcond=True)
+        p, rcond = invert(m, spd=core, return_rcond=True, overwrite=True)
     except SingularMatrixError as e:
         raise SolverError(
             f"aligned system is singular ({e}); increase lambda1"
         ) from e
     del m
-    theta = system.theta(_ease_weights(p, cfg.lambda1, system.items), p, 1.0)
+    # the weights go over P, except where the cold columns still need P
+    theta_w = _ease_weights(p.copy() if len(system.cold) else p, cfg.lambda1, system.items)
+    theta = system.theta(theta_w, p, 1.0)
     _check_finite(theta)
     diag_residual = float(np.abs(np.diag(theta)).max())
     np.fill_diagonal(theta, 0.0)

@@ -20,6 +20,7 @@ from alignrec import (
     save_cold_split,
     save_warm_split,
 )
+from alignrec import data
 from alignrec.cli import exit_code_for
 from alignrec.synthetic import planted_dataset, write_dataset_csvs
 
@@ -443,6 +444,48 @@ def test_load_split_peak_memory_per_pair_row_is_bounded(tmp_path):
     # a tuple per pair in a set of seen pairs, plus Python int lists, cost
     # about 130 bytes a row; three int64s a row plus the sort stay under 100
     assert peak < 100 * rows, peak / rows
+
+
+def test_load_interactions_peak_memory_per_kept_row_is_bounded(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = 40_000
+    users, items = rng.integers(0, 2000, rows), rng.integers(0, 500, rows)
+    p = _write(tmp_path / "x.csv", "user,item,value,timestamp\n" + "".join(
+        f"user{u},item{i},{v},{1_600_000_000 + t}\n"
+        for t, (u, i, v) in enumerate(zip(users, items, rng.integers(0, 4, rows)))))
+    tracemalloc.start()
+    try:
+        d = load_interactions(p, binarize_threshold=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = len(d.interactions)
+    assert kept > rows // 2
+    # two id strings and a Python int a row in lists cost about 230 bytes a
+    # kept row; numbered as read, three int64s a row plus the dedup sort
+    # stay under 150
+    assert peak < 150 * kept, peak / kept
+
+
+@pytest.mark.parametrize("timestamps", [False, True])
+def test_pairs_writer_scratch_does_not_grow_with_the_row_count(tmp_path, timestamps):
+    d = Dataset.from_pairs(np.array([[0, 0]]), [f"u{k}" for k in range(100)],
+                           [f"i,{k}" for k in range(50)])
+    fields = (data._csv_fields(d.user_ids), data._csv_fields(d.item_ids))
+    rng = np.random.default_rng(6)
+    peaks = []
+    for rows in (2**15, 2**17):
+        pairs = np.column_stack([rng.integers(0, 100, rows), rng.integers(0, 50, rows)])
+        ts = np.arange(rows, dtype=np.int64) + 1_600_000_000 if timestamps else None
+        tracemalloc.start()
+        try:
+            data._write_pairs_csv(str(tmp_path / "w.csv"), d, pairs, ts, fields=fields)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one string join over every row grew the scratch 4x with the rows (29 MiB
+    # at 2^17 rows with timestamps); a block of rows at a time holds it level
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 # --------------------------------------------------------- benchmark inputs

@@ -618,6 +618,15 @@ def test_general_route_gathers_and_re_embeds_nothing(case, fit_peak, system_peak
     assert phases["theta"] < slack * unit
 
 
+def test_aligned_general_route_ease_fit_holds_one_working_array():
+    # The same aligned EASE fit, bounded at 2.5 n^2 where the out-of-place
+    # fit read 4.66: beside the fit's copy of its system it held the core's
+    # gather with dpotrf's copy and |K| for its norm, then a fresh P beside
+    # a block of its rows, then I, lambda1 P and theta beside P. The
+    # inverse goes into the system's buffer and theta into P's.
+    test_general_route_gathers_and_re_embeds_nothing("ease", 2.45, 0.298)
+
+
 def _direct_singular_columns(X, cfg, Bd=None):
     """The columns whose assembled n x n system fails the LU's rcond check."""
     Xd = X.toarray()
