@@ -205,19 +205,6 @@ def _timestamp(text):
     return ts
 
 
-def _index_ids(ids):
-    """Number ``ids`` densely in first-appearance order.
-
-    Returns the code of each entry and the distinct ids in code order. A
-    dict keyed on the ids numbers them in one pass, without sorting, and
-    keeps ids apart that differ only by trailing NULs. load_interactions
-    numbers its ids the same way, one row at a time as it reads them.
-    """
-    codes = {}
-    code = np.fromiter((codes.setdefault(i, len(codes)) for i in ids), np.int64, len(ids))
-    return code, tuple(codes)
-
-
 def make_cold_split(d, cold_fraction=0.20, warm_fractions=(0.80, 0.10, 0.10), seed=0):
     """Sample cold items and split the rest 80/10/10 by interaction.
 
@@ -400,11 +387,24 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+class _Fields(dict):
+    """A JSON object read from the file ``path``: a missing key raises
+    FormatError naming the file and the key, not a bare KeyError."""
+
+    def __init__(self, path, pairs):
+        super().__init__(pairs)
+        self.path = path
+
+    def __missing__(self, key):
+        raise FormatError(f"{self.path}: missing key {key!r}")
+
+
 def read_json(path):
-    """Read a JSON file; text that is not JSON (or not UTF-8) raises FormatError."""
+    """Read a JSON file; text that is not JSON (or not UTF-8) raises
+    FormatError, and so does reading a key that one of its objects lacks."""
     with open_utf8(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=lambda pairs: _Fields(path, pairs))
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}: not valid JSON ({e})") from None
 
@@ -525,11 +525,12 @@ def _read_pairs_csv(path, umap, imap):
 def load_split(dirpath):
     """Load a persisted split directory; returns ColdSplit or WarmSplit.
 
-    A seed that is not an integer, a cold item list that is empty or holds
-    an unknown or repeated id, a training click on a cold item, a held-out
-    pair or negative that lies in that user's training history, and a
-    negative that is the user's held-out item raise FormatError naming the
-    file and the offending id or user.
+    A key missing from the manifest, a seed that is not an integer, a cold
+    item list that is empty or holds an unknown or repeated id, a training
+    click on a cold item, a held-out pair or negative that lies in that
+    user's training history, and a negative that is the user's held-out
+    item raise FormatError naming the file and the offending key, id or
+    user.
     """
     path = os.path.join(dirpath, "manifest.json")
     manifest = read_json(path)

@@ -11,7 +11,8 @@ Two backbones share the aligned-system structure:
   a Sherman-Morrison-Woodbury step with a small capacitance solve (a
   closed form when no user clicked it). The Woodbury columns share Y = X Q,
   users x items with Q = K^-1 (times I + H when a clicked item has a decay
-  weight), formed once per fit as Y^T. They are ordered by click count and
+  weight), formed once per fit as Y^T, the one users x items array of any
+  fit, checked against the memory budget. They are ordered by click count and
   cut into groups whose padded gather of Y^T fits a cell budget
   (_GROUP_CELLS, 2^18, and at most half of Y): a group gathers Y^T once and
   forms all its capacitances in one sparse product, and P U products over
@@ -27,11 +28,13 @@ partition with C empty. A FitContext of the training matrix holds one
 Gram per partition and, per B, X^T B on its decay columns D only: X^T B =
 alpha X^T X G diag(d) is zero where the decay weight d is. X^T B is
 non-symmetric, but off D the shared matrix is X^T X (times w1 >= 0 under
-MSLIM) plus lambda1 I, which with lambda1 > 0 is symmetric positive
-definite: its inverse takes a Cholesky on that core and an LU only on the
-|D| x |D| Schur complement (linalg.invert). EASE with lambda0 FF^T, which
-couples every item, and MSLIM with lambda1 = 0 invert by LU alone. A fit
-whose weights are not all finite raises SolverError.
+MSLIM) plus lambda1 I, plus lambda0 FF^T under EASE with features, which
+with lambda1 > 0 is symmetric positive definite. One rule inverts it
+(linalg.invert): a Cholesky on that core and an LU, in place, on the rest,
+the |D| x |D| Schur complement, or the whole matrix when no core exists
+(MSLIM with lambda1 = 0, or every item a decay column); the singularity
+check and the sidecar's rcond_min are the matrix's own exact 1-norm rcond.
+A fit whose weights are not all finite raises SolverError.
 """
 
 from __future__ import annotations
@@ -98,15 +101,6 @@ class ItemModel:
     config: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     item_ids: tuple | None = None
-
-
-def _feature_item_gram(F):
-    """Item x item overlap FF^T for the collective feature term."""
-    m = F.concat() if hasattr(F, "concat") else F
-    if sp.issparse(m):
-        return (m @ m.T).toarray().astype(np.float64, copy=False)
-    m = np.asarray(m, dtype=np.float64)
-    return m @ m.T
 
 
 def _check_finite(theta):
@@ -252,10 +246,9 @@ def _fitted(theta, solver, cfg, aligned, X, t0, **diagnostics):
 def _route_facts(ctx, system, core, rcond):
     """How a fit solved, for its sidecar: the route (general when ``system``
     eliminates nothing), the factorization of its shared inverse by its
-    Cholesky core ``core`` (a mask, or a bool for all or none), that
-    inverse's smallest rcond (None if it failed) to 3 significant digits,
-    since the estimators' last bits follow the memory alignment of the
-    factor, and the empty columns solved (each distinct eliminated one once)."""
+    Cholesky core ``core`` (a mask, or a bool for all or none), the inverted
+    matrix's exact 1-norm rcond (None if it failed) to 3 significant digits,
+    and the empty columns solved (each distinct eliminated one once)."""
     distinct = 0 if system.wc is None else system.wc.shape[1]
     factorization = "cholesky" if np.all(core) else "cholesky+lu" if np.any(core) else "lu"
     return {"route": "block" if len(system.cold) else "general",
@@ -301,22 +294,28 @@ def fit_ease(X, cfg, F=None, B=None, context=None):
     so self-similarities vanish. With B absent (or alpha = 0) and
     lambda0 = 0 this is the textbook EASE estimator. ``context`` is a
     FitContext of X to share between fits. Without lambda0 FF^T the fit
-    eliminates the empty columns C (theta_WC = M_WW^-1 S_WC), and M's core
-    on the items without decay weight, X^T X + lambda1 I, is symmetric
-    positive definite and inverted by Cholesky; the decay columns go through
-    its Schur complement by LU. M is the fit's own copy, so it is inverted
-    in place (``invert(..., overwrite=True)``), and on the general route
-    theta is formed over the inverse (see _ease_weights).
+    eliminates the empty columns C (theta_WC = M_WW^-1 S_WC); FF^T couples
+    every item, so with it C is kept. Either way M's core on the items
+    without decay weight, X^T X + lambda1 I (+ lambda0 FF^T), is symmetric
+    positive definite and inverted by Cholesky, and the decay columns go
+    through its Schur complement by LU. lambda0 FF^T is added to M a block
+    of rows at a time, so no items x items FF^T is formed. M is the fit's
+    own copy, so it is inverted in place (``invert(..., overwrite=True)``),
+    and on the general route theta is formed over the inverse (see
+    _ease_weights).
     """
     t0 = time.perf_counter()
     ctx = _context(X, context)
     aligned = B is not None and B.alpha != 0.0
-    feature = cfg.lambda0 > 0 and F is not None  # F F^T couples every item: general LU
+    feature = cfg.lambda0 > 0 and F is not None  # F F^T couples every item: no elimination
     system = ctx.system(B, not feature)
     m = system.shared(1.0, cfg.lambda1)
     if feature:
-        m += cfg.lambda0 * _feature_item_gram(F)
-    core = False if feature else ~system.decay
+        f = sp.csr_matrix(F.concat() if hasattr(F, "concat") else F, dtype=np.float64)
+        ft = f.T.tocsr()
+        for at in row_blocks(len(m)):
+            m[at] += cfg.lambda0 * (f[at] @ ft).toarray()
+    core = ~system.decay
     try:
         p, rcond = invert(m, spd=core, return_rcond=True, overwrite=True)
     except SingularMatrixError as e:
@@ -437,6 +436,7 @@ def _woodbury_columns(wood, r, p, m, Xcsr, Xcsc, cfg, theta, route, workers):
     threads, and then P U applies every update, 64 columns at a time.
     """
     n, users = len(p), Xcsr.shape[0]
+    check_dense_budget(n, users, what="Y^T = (X Q)^T")
     cells = _group_cells(users, n)
     # in blocks of half a group's gather, so that one users x items array
     # exists at a time
@@ -461,9 +461,10 @@ def _woodbury_columns(wood, r, p, m, Xcsr, Xcsc, cfg, theta, route, workers):
     theta[done, done] += 1.0
 
 
-def _direct_column(i, k, m, Xcsr, Xcsc, cfg, theta, failures):
-    """Solve column i's full system S_i = K + w_gap X_i^T V_i + gamma1 e_i e_i^T
-    into ``theta``; V_i = X_i M, or X_i when ``m`` is None."""
+def _direct_column(i, k, m, Xcsr, Xcsc, cfg):
+    """Column i of theta from its full system S_i = K + w_gap X_i^T V_i +
+    gamma1 e_i e_i^T; V_i = X_i M, or X_i when ``m`` is None.
+    SingularMatrixError if S_i is singular."""
     w_gap = cfg.w0 - cfg.w1
     a = k.copy()
     if w_gap != 0.0 and Xcsc.indptr[i + 1] > Xcsc.indptr[i]:
@@ -472,10 +473,19 @@ def _direct_column(i, k, m, Xcsr, Xcsc, cfg, theta, failures):
     a[i, i] += cfg.gamma1
     rhs = a[:, i].copy()
     rhs[i] -= cfg.lambda1 + cfg.gamma1
-    try:
-        theta[:, i] = solve_general(a, rhs)
-    except SingularMatrixError as e:
-        failures.append((i, str(e)))
+    return solve_general(a, rhs)
+
+
+def _zero_ridge_error(ctx, cols):
+    """The SolverError of an MSLIM fit with lambda1 = 0 whose singular column
+    systems ``cols`` are known from the empty training columns alone."""
+    cols = list(cols)
+    return SolverError(
+        f"{len(cols)} of {ctx.X.shape[1]} column systems are singular (lambda1 = 0 and "
+        f"{len(ctx.cold)} empty training columns, each a zero row of every other "
+        f"column's system); increase lambda1 or gamma1",
+        columns=cols,
+    )
 
 
 def _run(fn, tasks, workers):
@@ -500,31 +510,28 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
     Woodbury step; S_i is solved directly when r_i + 1 >= n, its capacitance
     fails the rcond check, or K is singular. V_i P = X_i Q with Q = M P and
     M = I + H, H = B's item map, or Q = P when no column of K has a decay
-    weight: Y = X Q is formed once, the Woodbury columns go in groups by
-    click count (see _woodbury_groups), each with one gather of Y^T and one
-    sparse product for all its capacitances (see _woodbury_group), and P U
-    products over 64 columns at a time apply the Woodbury updates. Threads take whole groups,
-    and direct columns one by one, and no column's arithmetic depends on
-    its group, so neither workers nor the grouping change the result.
+    weight: Y = X Q is formed once, as Y^T, the fit's one users x items
+    array (CapacityError if it exceeds the memory budget). The Woodbury
+    columns go in groups by click count (see _woodbury_groups), each with
+    one gather of Y^T and one sparse product for all its capacitances (see
+    _woodbury_group), and P U products over 64 columns at a time apply the
+    Woodbury updates. Threads take whole groups, and direct columns one by
+    one, and no column's arithmetic depends on its group, so neither
+    workers nor the grouping change the result.
 
     ``context`` is a FitContext of X to share between fits. With lambda1 > 0
     it eliminates the empty columns C, fitting the warm columns on the warm
     block alone, and sets a cold column to K_WW^-1 K_WC (counted as a closed
-    form), whatever gamma1 is. With lambda1 = 0 and one empty column, K is
-    singular and the general route names the singular columns; with two or
-    more, every S_i has the zero row of an empty column c != i, so the fit
-    raises naming all n columns before it factors anything.
+    form), whatever gamma1 is. With lambda1 = 0, every S_i has the zero row
+    of an empty column c != i: with two or more empty columns the fit raises
+    naming all n columns before it factors anything, and with one it solves
+    S_c alone, directly and only if gamma1 > 0, and raises naming the others
+    (and c too if S_c is singular).
     """
     t0 = time.perf_counter()
     ctx = _context(X, context)
     if cfg.lambda1 == 0.0 and len(ctx.cold) >= 2:
-        cols = list(range(ctx.X.shape[1]))
-        raise SolverError(
-            f"{len(cols)} of {len(cols)} column systems are singular (lambda1 = 0 and "
-            f"{len(ctx.cold)} empty training columns, each a zero row of every other "
-            f"column's system); increase lambda1 or gamma1",
-            columns=cols,
-        )
+        raise _zero_ridge_error(ctx, range(ctx.X.shape[1]))
     aligned = B is not None and B.alpha != 0.0
     system = ctx.system(B, cfg.lambda1 > 0)
     Xcsr, k = system.X, system.shared(cfg.w1, cfg.lambda1)
@@ -533,6 +540,16 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
     if system.decay.any():
         m = np.eye(n) + system.restrict(B.item_map())
     Xcsc = Xcsr.tocsc()
+    if cfg.lambda1 == 0.0 and len(ctx.cold) == 1 and n > 1:
+        # only S_c lacks the zero row of the empty column c, and only gamma1 > 0
+        # can make it regular
+        c, regular = int(ctx.cold[0]), cfg.gamma1 > 0
+        if regular:
+            try:
+                _direct_column(c, k, m, Xcsr, Xcsc, cfg)
+            except SingularMatrixError:
+                regular = False
+        raise _zero_ridge_error(ctx, [i for i in range(n) if i != c or not regular])
     core = ~system.decay if cfg.lambda1 > 0 else False  # w1 X^T X + lambda1 I is SPD
     try:
         p, rcond = invert(k, spd=core, return_rcond=True)
@@ -554,8 +571,14 @@ def fit_mslim(X, cfg, B=None, workers=1, context=None):
         wood = np.flatnonzero((r > 0) & (r < ctx.X.shape[1] - 1))
         if len(wood):
             _woodbury_columns(wood, r, p, m, Xcsr, Xcsc, cfg, theta, route, workers)
-    _run(lambda i: _direct_column(i, k, m, Xcsr, Xcsc, cfg, theta, failures),
-         np.flatnonzero(route == 2).tolist(), workers)
+
+    def direct(i):
+        try:
+            theta[:, i] = _direct_column(i, k, m, Xcsr, Xcsc, cfg)
+        except SingularMatrixError as e:
+            failures.append((i, str(e)))
+
+    _run(direct, np.flatnonzero(route == 2).tolist(), workers)
     failures = [(int(system.items[i]), e) for i, e in failures]
     try:
         theta = system.theta(theta, p, cfg.w1, k)
@@ -629,9 +652,9 @@ def save_model(model, path):
 def load_model(path):
     """Read a model written by save_model.
 
-    A sidecar that is not JSON or names another item count or an unknown
-    solver, a bad magic, a layout mode other than the dense 0, a file that
-    ends early, or bytes past the last column raise FormatError.
+    A sidecar that is not JSON, lacks a key, or names another item count or
+    an unknown solver, a bad magic, a layout mode other than the dense 0, a
+    file that ends early, or bytes past the last column raise FormatError.
     """
     sidecar = read_json(path + ".json")
     with open(path, "rb") as fh:

@@ -126,7 +126,8 @@ def test_feature_term_keeps_the_general_route(cold):
     cfg = EaseConfig(lambda0=0.4, lambda1=1.2)
     block, general = _both_routes(lambda ctx: fit_ease(X, cfg, F=F, B=B, context=ctx), X)
     assert block.diagnostics["route"] == "general"
-    assert block.diagnostics["factorization"] == "lu"
+    # FF^T is symmetric: the core off the decay columns stays Cholesky's
+    assert block.diagnostics["factorization"] == "cholesky+lu"
     assert np.array_equal(block.theta, general.theta)
     # without F, lambda0 has nothing to act on and the block route is taken
     assert fit_ease(X, cfg, B=B).diagnostics["route"] == "block"

@@ -384,6 +384,33 @@ def test_main_evaluate_bad_split_manifest_is_a_data_error(planted_config, capsys
     assert f"{manifest}: {message}" in caplog.text
 
 
+@pytest.mark.parametrize("verb,name,key", [
+    *[pytest.param("split", "manifest.json", key, id=f"manifest-{key}")
+      for key in ("user_ids", "item_ids", "protocol", "seed", "files", "files.val",
+                  "cold_item_ids")],
+    *[pytest.param("fit", "model.bin.json", key, id=f"sidecar-{key}")
+      for key in ("config", "diagnostics")],
+])
+def test_main_evaluate_names_the_file_of_a_missing_key(planted_config, capsys, caplog,
+                                                       verb, name, key):
+    path = planted_config()
+    assert main([verb, "--config", path]) == EXIT_OK
+    target = os.path.join(capsys.readouterr().out.strip(), name)
+    with open(target, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    *parents, last = key.split(".")
+    entry = payload
+    for parent in parents:
+        entry = entry[parent]
+    del entry[last]
+    with open(target, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert main(["evaluate", "--config", path]) == EXIT_DATA
+    stage = "load-split" if verb == "split" else "load-model"
+    assert f"stage '{stage}' failed" in caplog.text
+    assert f"{target}: missing key {last!r}" in caplog.text
+
+
 @pytest.mark.parametrize("cold,message", [
     pytest.param(False, "test.csv: the test item {item!r} of user {user!r} is in that "
                  "user's training history", id="test-pair-in-train"),

@@ -108,32 +108,6 @@ def test_load_matches_dict_reference(log):
     np.testing.assert_array_equal(d.X.toarray(), dense)
 
 
-def reference_index_ids(ids):
-    """The np.unique numbering that ``data._index_ids`` replaced: sort an
-    object array (fixed-width strings would drop trailing NULs), then
-    renumber the distinct ids by first appearance."""
-    distinct, first, inverse = np.unique(
-        np.array(ids, dtype=object), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    code = np.empty_like(order)
-    code[order] = np.arange(len(order))
-    return code[inverse], tuple(distinct[order].tolist())
-
-
-@SETTINGS
-@given(pool=st.lists(st.text(st.sampled_from(list("a\x00é€,")), max_size=3), min_size=1,
-                     max_size=5),
-       draws=st.data())
-def test_index_ids_matches_the_np_unique_numbering(pool, draws):
-    # repeats, non-ASCII ids, and ids that differ only by trailing NULs
-    pool += [p + "\x00" for p in pool]
-    ids = draws.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
-    code, distinct = data._index_ids(ids)
-    want_code, want_distinct = reference_index_ids(ids)
-    assert code.dtype == want_code.dtype and code.tolist() == want_code.tolist()
-    assert distinct == want_distinct and all(type(i) is str for i in distinct)
-
-
 @st.composite
 def datasets(draw, n_users, n_items, min_clicks=1):
     """A Dataset with odd ids, each user holding min_clicks..n_items - 1 items."""

@@ -1,5 +1,7 @@
 """Gram assembly and the general LU solve layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -124,3 +126,22 @@ def test_spd_invert_refuses_indefinite_and_near_singular_matrices():
         invert(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), spd=True)
     with pytest.raises(ValueError, match="square"):
         invert(np.ones((2, 3)), spd=True)
+
+
+@pytest.mark.parametrize("overwrite, bound", [(False, 1.1), (True, 0.1)])
+def test_lu_inverse_holds_at_most_one_working_array(overwrite, bound):
+    # dgetrf and dgetri work in one n x n buffer, m's own with overwrite, and
+    # need no identity right-hand side; beside it only the pivots and
+    # dgetri's workspace of _BLOCK columns
+    n = 400
+    m = np.random.default_rng(7).standard_normal((n, n)) + n * np.eye(n)
+    want = invert(m, spd=False)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        p = invert(m, spd=False, overwrite=overwrite)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(p, want)
+    assert peak <= bound * 8 * n * n

@@ -5,7 +5,8 @@ by Cholesky and the rest through the Schur complement by LU. Each example
 builds M as the solvers do, X^T X plus a cross term X^T B = alpha X^T X G
 diag(d) that is zero off the decay columns D, and compares the result
 with ``solve_general(m, I)`` at 1e-10 of the largest |P|. With D empty the
-path is the Cholesky inverse byte for byte, and with N empty the LU.
+path is the Cholesky inverse byte for byte, and with N empty the LU inverse
+(dgetrf of m^T, then dgetri).
 """
 
 import numpy as np
@@ -97,13 +98,26 @@ def _cholesky_reference(m):
     return inv
 
 
+def _lu_reference(m):
+    """dgetrf of m^T, then dgetri with a workspace of linalg._BLOCK columns:
+    M^-T, which read in C order is M^-1."""
+    lu, piv, info = lapack.dgetrf(m.T)
+    assert info == 0
+    inv, info = lapack.dgetri(lu, piv, lwork=linalg._BLOCK * len(m))
+    assert info == 0
+    return inv.T
+
+
 @pytest.mark.parametrize("n", [1, 5, 40])
 def test_the_two_ends_are_todays_cholesky_and_lu_byte_for_byte(n):
     m, _ = _system(n, n, "none", "ease", 0.5, False)
     for core in (True, np.ones(n, dtype=bool)):
         assert np.array_equal(invert(m, spd=core), _cholesky_reference(m))
     for core in (False, np.zeros(n, dtype=bool)):
-        assert np.array_equal(invert(m, spd=core), solve_general(m, np.eye(n)))
+        p = invert(m, spd=core)
+        assert np.array_equal(p, _lu_reference(m))
+        ref = solve_general(m, np.eye(n))
+        assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_the_core_is_a_bool_or_a_boolean_mask():
@@ -124,6 +138,81 @@ def test_a_singular_schur_complement_names_its_decay_row():
     with pytest.raises(SingularMatrixError) as excinfo:
         invert(np.array([[2.0, 1.0], [0.0, 0.0]]), spd=np.array([True, False]))
     assert excinfo.value.pivot == 1
+
+
+def test_the_floor_reads_m_not_its_parts():
+    # the core [1] and the Schur complement T = [1] are perfectly conditioned,
+    # but M's own 1-norm rcond is 1 / (1e8 + 1)^2, about 1e-16
+    m = np.array([[1.0, 1e8], [0.0, 1.0]])
+    for spd in (np.array([True, False]), False):
+        with pytest.raises(SingularMatrixError, match="rcond"):
+            invert(m, spd=spd)
+
+
+def _norm1(a):
+    return np.abs(a).sum(axis=0).max()
+
+
+def _aligned_system(seed, n_items, cold, decay, w1, lambda1, duplicates):
+    """(M, decay mask): the general route's shared matrix w1 S + lambda1 I of a
+    click matrix with ``cold`` empty columns, aligned on the decay columns."""
+    rng = np.random.default_rng(seed)
+    n_users = int(rng.integers(1, 3 * n_items + 2))
+    x = (rng.random((n_users, n_items)) < 0.4).astype(np.float64)
+    n_cold = {"none": 0, "some": max(1, n_items // 3), "all-but-one": n_items - 1}[cold]
+    x[:, rng.permutation(n_items)[:n_cold]] = 0.0
+    raw = np.abs(rng.standard_normal((n_items, n_items)))
+    g = raw + raw.T
+    if duplicates:
+        # repeated users, and items 0, 2, 4, ... with equal clicks and metadata
+        x = np.vstack([x, x[: max(1, n_users // 2)]])
+        x[:, 2::2] = x[:, [0]]
+        g[:, 2::2], g[2::2, :] = g[:, [0]], g[[0], :]
+    X = sp.csr_matrix(x)
+    B = None
+    if decay != "none":
+        mask = x.any(axis=0) if decay == "warm" else np.ones(n_items, dtype=bool)
+        B = align(X, g, AlignmentConfig(alpha=0.5),
+                  d=rng.uniform(0.1, 2.0, size=n_items) * mask)
+    system = solvers.FitContext(X).system(B, False)
+    return system.shared(w1, lambda1), system.decay
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(1, 10),
+       cold=st.sampled_from(["none", "some", "all-but-one"]),
+       decay=st.sampled_from(["none", "warm", "all"]),
+       core=st.sampled_from(["all", "none", "masked"]), w1=st.sampled_from([0.4, 1.0]),
+       lambda1=st.sampled_from([1e-9, 0.5, 3.0]), duplicates=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_every_core_gives_the_general_lu_inverse_and_m_own_rcond(
+        seed, n_items, cold, decay, core, w1, lambda1, duplicates):
+    # all rows as the core needs a symmetric M: no decay column
+    m, dmask = _aligned_system(seed, n_items, cold, "none" if core == "all" else decay,
+                               w1, lambda1, duplicates)
+    spd = {"all": True, "none": False, "masked": ~dmask}[core]
+    outcomes = []
+    for f in (lambda: solve_general(m, np.eye(n_items)),
+              lambda: invert(m, spd=spd, return_rcond=True)):
+        try:
+            outcomes.append(f())
+        except SingularMatrixError as e:
+            outcomes.append(e)
+    ref, got = outcomes
+    if isinstance(ref, SingularMatrixError) or isinstance(got, SingularMatrixError):
+        # dgecon's estimate and the exact rcond may only fall on two sides of
+        # the floor when both are near it
+        if not isinstance(got, SingularMatrixError):
+            assert got[1] < 100 * linalg.RCOND_FLOOR
+        elif not isinstance(ref, SingularMatrixError):
+            assert 1.0 / (_norm1(m) * _norm1(ref)) < 100 * linalg.RCOND_FLOOR
+        return
+    p, rcond = got
+    exact = 1.0 / (_norm1(m) * _norm1(ref))
+    # the forward error of an inverse grows with M's condition number
+    assert np.abs(p - ref).max() <= 1e-12 / exact * np.abs(ref).max()
+    # M's own rcond, of the inverse returned and of the reference to 3 digits
+    assert rcond == pytest.approx(1.0 / (_norm1(m) * _norm1(p)), rel=1e-12)
+    assert rcond == pytest.approx(exact, rel=1e-3)
 
 
 def _fit(solver, X, B, lambda1):

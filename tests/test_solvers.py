@@ -28,8 +28,8 @@ from alignrec import (
     predict,
     save_model,
 )
-from alignrec import solvers
-from alignrec.errors import SingularMatrixError
+from alignrec import linalg, solvers
+from alignrec.errors import CapacityError, SingularMatrixError
 from alignrec.linalg import invert, solve_general
 from alignrec.solvers import popularity_scores, random_scores
 from alignrec.synthetic import planted_dataset
@@ -149,8 +149,10 @@ def test_ease_theta_bytes_are_pinned():
     # out-of-place form (theta_tilde = I - lambda1 P, then theta = theta_tilde -
     # P diag(theta_tilde) / diag(P)) gave with numpy 2.4 on OpenBLAS 0.3.31, on
     # the system assembled as S = X^T B (from the Gram) + X^T X, then lambda1
-    # on the diagonal, then lambda0 FF^T; a different BLAS build may move the
-    # last bits and need a new digest.
+    # on the diagonal, then lambda0 FF^T, with P = invert(S, spd=~decay) out
+    # of place: the Cholesky core on the item without decay weight, LU on the
+    # Schur complement; a different BLAS build may move the last bits and need
+    # a new digest.
     rng = np.random.default_rng(21)
     X = sp.csr_matrix((rng.random((30, 9)) < 0.35).astype(np.float64))
     Z = rng.random((9, 4))
@@ -158,7 +160,7 @@ def test_ease_theta_bytes_are_pinned():
     B = align(X, Z @ Z.T, AlignmentConfig(alpha=0.7), d=np.linspace(0.0, 2.0, 9))
     theta = fit_ease(X, EaseConfig(lambda0=0.3, lambda1=1.5), F=F, B=B).theta
     digest = hashlib.sha256(np.ascontiguousarray(theta, dtype="<f8").tobytes()).hexdigest()
-    assert digest == "007bc0591a5dbedbae9fecb987b609b1c748154d847481d498bb94a91017e95f"
+    assert digest == "a7919799ae719403ec7af8613174312583fd670d1232711998af63fcabaab910"
 
 
 def test_ease_reports_singular_system():
@@ -274,7 +276,8 @@ def _mslim_case(seed, n_items, dense, cold, w1, gamma1, alignment):
     rng = np.random.default_rng(seed)
     n_users = int(rng.integers(n_items, 3 * n_items + 1))
     X = _random_clicks(rng, n_users, n_items, density=0.9 if dense else 0.35).toarray()
-    n_cold = {"none": 0, "some": max(1, n_items // 3), "all-but-one": n_items - 1}[cold]
+    n_cold = {"none": 0, "one": 1, "some": max(1, n_items // 3),
+              "all-but-one": n_items - 1}[cold]
     X[:, rng.permutation(n_items)[:n_cold]] = 0.0
     X = sp.csr_matrix(X)
     cfg = MslimConfig(w1=w1, lambda1=float(rng.uniform(0.5, 3.0)), gamma1=gamma1)
@@ -554,6 +557,19 @@ def test_mslim_scratch_memory_is_bounded():
     assert peak < bound
 
 
+def test_mslim_budgets_its_users_by_items_array(monkeypatch):
+    # Y^T = (X Q)^T, items x users, is the one users x items array of a fit:
+    # over the memory budget it raises CapacityError, where the Gram fits
+    rng = np.random.default_rng(8)
+    n_users, n_items = 400, 60
+    X = _random_clicks(rng, n_users, n_items, density=0.02)
+    cfg = MslimConfig(w1=0.5, lambda1=5.0, gamma1=10.0)
+    assert fit_mslim(X, cfg).diagnostics["columns_by_route"]["woodbury"] > 0
+    monkeypatch.setattr(linalg, "DEFAULT_MEMORY_BUDGET", 8 * n_users * n_items - 8)
+    with pytest.raises(CapacityError, match=r"Y\^T"):
+        fit_mslim(X, cfg)
+
+
 def _phase_peaks(fn):
     """fn()'s tracemalloc peak, and the largest peak inside one call of
     ``FitContext.system`` (where a _System is built) and of ``_System.theta``
@@ -627,6 +643,14 @@ def test_aligned_general_route_ease_fit_holds_one_working_array():
     test_general_route_gathers_and_re_embeds_nothing("ease", 2.45, 0.298)
 
 
+def test_aligned_feature_ease_fit_holds_one_working_array():
+    # The ease-feature case at 2.5 n^2 where the LU-only route read 5.214: its
+    # core off the decay columns, X^T X + lambda1 I + lambda0 FF^T, is
+    # Cholesky's, lambda0 FF^T is added a block of rows at a time, and the
+    # Schur complement is inverted in its own buffer.
+    test_general_route_gathers_and_re_embeds_nothing("ease-feature", 2.5, 0.614)
+
+
 def _direct_singular_columns(X, cfg, Bd=None):
     """The columns whose assembled n x n system fails the LU's rcond check."""
     Xd = X.toarray()
@@ -658,22 +682,30 @@ def test_mslim_zero_lambda_with_cold_items_names_the_singular_columns(
     assert excinfo.value.columns == expected
 
 
-@pytest.mark.parametrize("cold", ["some", "all-but-one"])
+@pytest.mark.parametrize("cold", ["one", "some", "all-but-one"])
 @pytest.mark.parametrize("gamma1", [0.0, 2.5])
 @pytest.mark.parametrize("alignment", ["none", "cold-d", "warm-d"])
 def test_mslim_zero_lambda_with_two_empty_columns_refuses_before_factoring(
         monkeypatch, cold, gamma1, alignment):
-    # 8 items: "some" empties 2 columns, "all-but-one" 7
+    # 8 items: "one" empties 1 column, "some" 2, "all-but-one" 7; with one empty
+    # column c every system but S_c holds c's zero row, so only S_c is solved,
+    # and only when gamma1 > 0 can make it regular
     X, cfg, B = _mslim_case(5, 8, False, cold, 0.4, gamma1, alignment)
     cfg.lambda1 = 0.0
     expected = _direct_singular_columns(X, cfg, None if B is None else B.materialize())
-    assert expected == list(range(8))
+    if cold == "one":
+        (c,) = np.flatnonzero(X.getnnz(axis=0) == 0)
+        assert set(expected) >= set(range(8)) - {int(c)}
+    else:
+        assert expected == list(range(8))
     calls = []
     for name in ("invert", "solve_general"):
-        monkeypatch.setattr(solvers, name, lambda *a, _name=name, **k: calls.append(_name))
+        real = getattr(solvers, name)
+        monkeypatch.setattr(solvers, name, lambda *a, _name=name, _real=real, **k:
+                            calls.append(_name) or _real(*a, **k))
     with pytest.raises(SolverError, match="increase lambda1 or gamma1") as excinfo:
         fit_mslim(X, cfg, B=B)
-    assert calls == []
+    assert calls == (["solve_general"] if cold == "one" and gamma1 > 0 else [])
     assert excinfo.value.columns == expected
 
 
