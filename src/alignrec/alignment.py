@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import check_dense_budget, row_blocks
+from .linalg import check_dense_budget, gram, row_blocks
 from . import evaluation
 
 log = logging.getLogger(__name__)
@@ -109,29 +109,27 @@ def smoothed_cosine(Z, delta=0.0):
 
     G_ij = (z_i . z_j) / (||z_i|| ||z_j|| + delta). The delta term shrinks
     similarities involving short feature vectors. Rows that are entirely
-    zero produce zero similarity, including at delta = 0.
+    zero produce zero similarity, including at delta = 0. The inner
+    products Z Z^T come from ``gram(Z.T)``, bitwise symmetric, and are
+    divided in place a block of rows at a time, so G is symmetric and its
+    scratch is a few rows (and, for a sparse Z, the sparse product).
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     m = getattr(Z, "matrix", Z)
     n = m.shape[0]
     check_dense_budget(n, n, what="similarity matrix")
     if sp.issparse(m):
-        inner = (m @ m.T).toarray().astype(np.float64, copy=False)
         norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
     else:
         m = np.asarray(m, dtype=np.float64)
-        inner = m @ m.T
         norms = np.linalg.norm(m, axis=1)
-    # in place: G takes inner's buffer; denom, then G's transpose, are the scratch
-    denom = np.outer(norms, norms)
-    denom += delta
-    pos = denom > 0
-    g = np.divide(inner, denom, out=inner, where=pos)
-    del denom
-    np.copyto(g, 0.0, where=~pos)
-    g += g.T.copy()
-    g *= 0.5
+    g = np.zeros((n, n)) if 0 in m.shape else gram(m.T)
+    for at in row_blocks(n):
+        denom = np.outer(norms[at], norms) + delta
+        pos = denom > 0
+        np.divide(g[at], denom, out=g[at], where=pos)
+        g[at][~pos] = 0.0
     return g
 
 

@@ -203,15 +203,17 @@ def _load_embeddings_text(path):
 def _load_embeddings_binary(path):
     """Read a file written by write_embeddings_binary.
 
-    A bad magic, a file that ends early, an id that is not UTF-8 or
-    repeated, a NaN or infinite value, or bytes past the last row raise
-    FormatError.
+    A bad magic, a zero dim, a file that ends early, an id that is not
+    UTF-8 or repeated, a NaN or infinite value, or bytes past the last row
+    raise FormatError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_EMB_MAGIC))
         if magic != _EMB_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
         n_rows, dim = struct.unpack("<QQ", read_exact(fh, 16, path))
+        if dim < 1:
+            raise FormatError(f"{path}: embedding dim must be >= 1, got {dim}")
         vecs = {}
         for _ in range(n_rows):
             item_id = read_item_id(fh, path)

@@ -5,7 +5,9 @@ Conventions
 - sparse matrices are scipy CSR (row-major with per-row offsets); column
   access is served by a one-time transposed/CSC copy where needed
 - dense matrices are float64 ndarrays; all accumulation is double precision
-- Gram outputs are symmetrized post hoc so ``G == G.T`` holds bitwise
+- an inner-product matrix (X^T X, or Z Z^T as ``gram(Z.T)``) is formed only
+  by ``gram``, bitwise symmetric by construction: its input is first made
+  canonical CSR or contiguous, so the product sums each pair in one order
 - linear solves use a general pivoted LU factorization. An inverse
   (``invert(m, spd=...)``) follows one rule: the symmetric positive
   definite core the caller names is factored by Cholesky, and the rest,
@@ -62,31 +64,25 @@ def check_dense_budget(rows, cols, what="matrix"):
         )
 
 
-def _symmetrize(c):
-    # exact: 0.5*(a+b) == 0.5*(b+a) in IEEE arithmetic
-    return 0.5 * (c + c.T)
-
-
 def gram(a):
-    """Compute ``A^T A`` as a dense symmetric float64 matrix.
-
-    Parameters
-    ----------
-    a : scipy sparse matrix or ndarray, shape (m, n)
-
-    Returns
-    -------
-    ndarray, shape (n, n), bitwise symmetric.
-    """
+    """``A^T A`` of a sparse matrix or an array a, shape (m, n), as a dense
+    (n, n) float64 matrix, bitwise symmetric by construction: the product
+    sums pair (i, j) in the order of (j, i) when a is canonical sparse
+    (sorted indices, no duplicates) or C- or F-contiguous (numpy then calls
+    BLAS's symmetric rank-k update), so any other a is first copied, into
+    canonical CSR or a C-contiguous array."""
     if a.shape[0] == 0 or a.shape[1] == 0:
         raise ValueError(f"gram requires a nonempty matrix, got shape {a.shape}")
     check_dense_budget(a.shape[1], a.shape[1], what="Gram matrix")
     if sp.issparse(a):
-        c = (a.T @ a).toarray().astype(np.float64, copy=False)
-    else:
-        a = np.asarray(a, dtype=np.float64)
-        c = a.T @ a
-    return _symmetrize(c)
+        if not getattr(a, "has_canonical_format", False):
+            a = a.tocsr(copy=True)
+            a.sum_duplicates()
+        return (a.T @ a).toarray().astype(np.float64, copy=False)
+    a = np.asarray(a, dtype=np.float64)
+    if not (a.flags.c_contiguous or a.flags.f_contiguous):
+        a = np.ascontiguousarray(a)
+    return a.T @ a
 
 
 def _square(m):

@@ -66,23 +66,111 @@ def test_smoothed_cosine_accepts_blocks_and_sparse_input():
     assert np.array_equal(from_block, from_block.T)
 
 
-@pytest.mark.parametrize("kind", ["multihot", "dense"])
-def test_smoothed_cosine_scratch_memory_is_bounded(kind):
-    # G is formed in place: above its own n^2 output it holds at most 3 n^2
-    # float64s of scratch (an out-of-place formula holds more), and it stays
-    # bit for bit the out-of-place formula, zero rows included
-    n, rng = 600, np.random.default_rng(5)
-    z = (rng.random((n, 40)) < 0.1) * 1.0 if kind == "multihot" else rng.standard_normal((n, 16))
-    z[7] = 0.0
-    if kind == "multihot":
-        z = sp.csr_matrix(z)
-        inner, norms = (z @ z.T).toarray(), np.sqrt(np.asarray(z.multiply(z).sum(axis=1)).ravel())
+def test_smoothed_cosine_of_an_empty_block_is_zero():
+    assert (smoothed_cosine(np.zeros((3, 0)), delta=0.5) == np.zeros((3, 3))).all()
+    assert smoothed_cosine(sp.csr_matrix((3, 0)), delta=0.0).shape == (3, 3)
+    assert smoothed_cosine(np.zeros((0, 4))).shape == (0, 0)
+
+
+def _out_of_place_gram(a):
+    """The reference for ``gram``: the product, then its average with its
+    transpose, which is symmetric whatever order the product sums in."""
+    if sp.issparse(a):
+        c = (a.T @ a).toarray().astype(np.float64, copy=False)
     else:
-        inner, norms = z @ z.T, np.linalg.norm(z, axis=1)
-    denom = np.outer(norms, norms) + 0.5
-    expected = np.where(denom > 0, inner / np.where(denom > 0, denom, 1.0), 0.0)
-    expected = 0.5 * (expected + expected.T)
-    del inner, denom
+        a = np.asarray(a, dtype=np.float64)
+        c = a.T @ a
+    return 0.5 * (c + c.T)
+
+
+def _out_of_place_cosine(m, delta):
+    """The reference for ``smoothed_cosine``: its own product, an n^2
+    denominator and mask, and the average with a transposed copy."""
+    if sp.issparse(m):
+        inner = (m @ m.T).toarray().astype(np.float64, copy=False)
+        norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+    else:
+        m = np.asarray(m, dtype=np.float64)
+        inner, norms = m @ m.T, np.linalg.norm(m, axis=1)
+    denom = np.outer(norms, norms) + delta
+    pos = denom > 0
+    g = np.divide(inner, denom, out=inner, where=pos)
+    np.copyto(g, 0.0, where=~pos)
+    g += g.T.copy()
+    g *= 0.5
+    return g
+
+
+def _laid_out(a, layout, rng):
+    """a as canonical CSR, as CSR with each entry split into two duplicates
+    in a shuffled order within its row, or as a C-ordered, F-ordered or
+    strided array."""
+    if layout == "csr":
+        return sp.csr_matrix(a)
+    if layout == "csr-duplicates":
+        rows, cols = np.nonzero(a)
+        vals = np.concatenate([0.25 * a[rows, cols], 0.75 * a[rows, cols]])
+        rows, cols = np.tile(rows, 2), np.tile(cols, 2)
+        order = np.lexsort((rng.random(len(rows)), rows))
+        indptr = np.searchsorted(rows[order], np.arange(a.shape[0] + 1))
+        return sp.csr_matrix((vals[order], cols[order], indptr), shape=a.shape)
+    if layout == "strided":
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    return np.asfortranarray(a) if layout == "F" else np.ascontiguousarray(a)
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 10), cols=st.integers(1, 10),
+       scale=st.sampled_from([1, 30]),
+       layout=st.sampled_from(["csr", "csr-duplicates", "C", "F", "strided"]),
+       binary=st.booleans(), zero_rows=st.booleans(), delta=st.sampled_from([0.0, 0.5, 20.0]))
+@settings(max_examples=150, deadline=None)
+def test_gram_and_smoothed_cosine_match_the_out_of_place_formulas(seed, rows, cols, scale, layout,
+                                                                 binary, zero_rows, delta):
+    # byte for byte on the inputs whose product is already symmetric, and
+    # bitwise symmetric within 1e-12 of the largest entry on the rest, where
+    # the out-of-place average and a product of a normalized copy differ
+    # only in summation order. A strided product is asymmetric only past
+    # BLAS's small-matrix kernels (from about 100 x 100 with OpenBLAS),
+    # hence the scale of 30.
+    rng = np.random.default_rng(seed)
+    rows, cols = rows * scale, cols * scale
+    a = (rng.random((rows, cols)) < 0.4) * (1.0 if binary else rng.standard_normal((rows, cols)))
+    if zero_rows:
+        a[::3] = 0.0
+    a = _laid_out(a, layout, rng)
+    for got, ref in ((gram(a), _out_of_place_gram(a)),
+                     (smoothed_cosine(a, delta), _out_of_place_cosine(a, delta))):
+        assert got.tobytes() == got.T.tobytes()
+        if layout in ("csr", "C", "F"):
+            assert got.tobytes() == ref.tobytes()
+        else:
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind", ["multihot", "overlapping", "dense"])
+def test_smoothed_cosine_scratch_memory_is_bounded(kind):
+    # G is gram's Z Z^T divided in place a block of rows at a time: above
+    # its own n^2 output it holds at most 0.2 n^2 float64s of scratch (the
+    # out-of-place formula holds more than n^2), and it stays bit for bit
+    # that formula, zero rows included. A multi-hot Z's product is sparse
+    # until it is made dense, 12 bytes per nonzero: two of 400 labels per
+    # item leave Z Z^T about 1% nonzero, while the overlapping Z, four of
+    # 40, makes a third of it nonzero, which its bound adds
+    n, rng = 600, np.random.default_rng(5)
+    if kind == "dense":
+        z = rng.standard_normal((n, 16))
+    else:
+        labels, share = (400, 0.005) if kind == "multihot" else (40, 0.1)
+        z = (rng.random((n, labels)) < share) * 1.0
+    z[7] = 0.0
+    allowed = 0.2 * n * n * 8
+    if kind != "dense":
+        z = sp.csr_matrix(z)
+    if kind == "overlapping":
+        allowed += 12 * (z @ z.T).nnz
+    expected = _out_of_place_cosine(z, 0.5)
     tracemalloc.start()
     try:
         g = smoothed_cosine(z, delta=0.5)
@@ -90,12 +178,14 @@ def test_smoothed_cosine_scratch_memory_is_bounded(kind):
     finally:
         tracemalloc.stop()
     assert g.tobytes() == expected.tobytes()
-    assert peak - g.nbytes <= 3 * g.nbytes
+    assert peak - g.nbytes <= allowed
 
 
 def test_smoothed_cosine_rejects_negative_delta():
-    with pytest.raises(ValueError, match="delta"):
-        smoothed_cosine(np.eye(2), delta=-0.1)
+    # NaN and infinity too: either would give an all-zero G
+    for delta in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            smoothed_cosine(np.eye(2), delta=delta)
 
 
 # ------------------------------------------------------------------ mixing

@@ -186,6 +186,14 @@ def test_embedding_rejects_truncated_binary(tmp_path, emb):
         load_embedding_block(str(path), {i: r for r, i in enumerate(ids)})
 
 
+def test_embedding_rejects_zero_width_binary(tmp_path):
+    # a dim-0 file would load as an (n, 0) block, whose similarities are all 0
+    path = str(tmp_path / "e.bin")
+    write_embeddings_binary(path, ["i0", "i1", "i2"], np.zeros((3, 0)))
+    with pytest.raises(FormatError, match=r"e\.bin.*dim must be >= 1, got 0"):
+        load_embedding_block(path, {"i0": 0, "i1": 1, "i2": 2})
+
+
 # ------------------------------------------------------------- persistence
 
 def test_block_round_trip_sparse(tmp_path):
